@@ -27,9 +27,9 @@ int main() {
     specs.push_back(sweep[sweep.size() / 2].spec);
   }
 
-  std::vector<std::vector<core::ExperimentHandle>> handles_by_dtype;
+  std::vector<std::vector<core::ScenarioHandle>> handles_by_dtype;
   for (const auto dtype : numeric::kAllDTypes) {
-    std::vector<core::ExperimentHandle> handles;
+    std::vector<core::ScenarioHandle> handles;
     for (const auto& spec : specs) {
       const auto config = core::ExperimentConfigBuilder()
                               .dtype(dtype)
@@ -48,7 +48,7 @@ int main() {
   for (std::size_t d = 0; d < std::size(numeric::kAllDTypes); ++d) {
     analysis::RunningStats runtime_ms;
     for (const auto& handle : handles_by_dtype[d]) {
-      runtime_ms.add(handle.get().iteration_s * 1e3);
+      runtime_ms.add(handle.get().static_result().iteration_s * 1e3);
     }
     table.add_row(std::string(numeric::name(numeric::kAllDTypes[d])),
                   {runtime_ms.mean(),

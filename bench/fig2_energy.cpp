@@ -16,7 +16,7 @@ int main() {
       env, "Fig. 2: average iteration energy, Gaussian random inputs");
 
   core::ExperimentEngine engine = bench::make_engine(env);
-  std::vector<core::ExperimentHandle> handles;
+  std::vector<core::ScenarioHandle> handles;
   for (const auto dtype : numeric::kAllDTypes) {
     handles.push_back(engine.submit(core::ExperimentConfigBuilder()
                                         .dtype(dtype)
@@ -29,7 +29,7 @@ int main() {
   analysis::Table table(
       {"datatype", "energy/iter (mJ)", "iter (ms)", "power (W)"});
   for (std::size_t d = 0; d < std::size(numeric::kAllDTypes); ++d) {
-    const auto& result = handles[d].get();
+    const core::ExperimentResult& result = handles[d].get().static_result();
     table.add_row(std::string(numeric::name(numeric::kAllDTypes[d])),
                   {result.energy_per_iter_j * 1e3, result.iteration_s * 1e3,
                    result.power_w},

@@ -44,16 +44,16 @@ int main() {
   // The paper's RTX 6000 protocol deviation: 512x512 because 2048x2048
   // throttles.  Demonstrate the throttle first.
   {
-    const auto at2048 = engine
-                            .submit(core::ExperimentConfigBuilder()
-                                        .gpu(gpusim::GpuModel::kRTX6000)
-                                        .dtype(numeric::DType::kFP16)
-                                        .env(env)
-                                        .pattern(core::baseline_gaussian_spec())
-                                        .n(2048)
-                                        .seeds(1)
-                                        .build())
-                            .get();
+    const core::ScenarioHandle handle =
+        engine.submit(core::ExperimentConfigBuilder()
+                          .gpu(gpusim::GpuModel::kRTX6000)
+                          .dtype(numeric::DType::kFP16)
+                          .env(env)
+                          .pattern(core::baseline_gaussian_spec())
+                          .n(2048)
+                          .seeds(1)
+                          .build());
+    const core::ExperimentResult& at2048 = handle.get().static_result();
     std::printf(
         "RTX 6000 at 2048x2048: %.1f W, throttled=%s (clock frac %.3f) — "
         "matching the paper, Fig. 7 uses 512x512 for this card.\n\n",
@@ -61,16 +61,17 @@ int main() {
   }
 
   // Submit every panel as one sweep per GPU, all in flight together.
-  std::vector<std::vector<core::SweepRun>> runs_by_panel;
+  std::vector<std::vector<std::vector<core::ScenarioHandle>>> runs_by_panel;
   for (const Panel& panel : kPanels) {
-    std::vector<core::SweepRun> runs;
+    std::vector<std::vector<core::ScenarioHandle>> runs;
     for (const auto gpu : kGpus) {
       auto builder = core::ExperimentConfigBuilder()
                          .gpu(gpu)
                          .dtype(numeric::DType::kFP16)
                          .env(env);
       if (gpu == gpusim::GpuModel::kRTX6000) builder.n(512);
-      runs.push_back(engine.submit_sweep(panel.figure, builder.build()));
+      runs.push_back(
+          bench::submit_figure(engine, panel.figure, builder.build()));
     }
     runs_by_panel.push_back(std::move(runs));
   }
@@ -78,19 +79,21 @@ int main() {
 
   for (std::size_t p = 0; p < std::size(kPanels); ++p) {
     std::printf("--- %s (FP16) ---\n", kPanels[p].title);
-    const std::vector<core::SweepRun>& runs = runs_by_panel[p];
+    const auto& runs = runs_by_panel[p];
+    const std::vector<core::SweepPoint> points =
+        core::figure_sweep(kPanels[p].figure);
     std::vector<std::string> headers{
         std::string(core::figure_axis(kPanels[p].figure))};
     for (const auto gpu : kGpus) {
       headers.emplace_back(gpusim::name(gpu));
     }
     analysis::Table table(std::move(headers));
-    for (std::size_t i = 0; i < runs.front().points.size(); ++i) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
       std::vector<double> row;
-      for (const core::SweepRun& run : runs) {
-        row.push_back(run.handles[i].get().power_w);
+      for (const auto& handles : runs) {
+        row.push_back(handles[i].get().static_result().power_w);
       }
-      table.add_row(runs.front().points[i].label, row, 1);
+      table.add_row(points[i].label, row, 1);
     }
     table.print(std::cout);
     std::printf("\n");

@@ -25,7 +25,7 @@ int main() {
   struct Cell {
     core::FigureId figure;
     std::string label;
-    core::ExperimentHandle handle;
+    core::ScenarioHandle handle;
   };
   std::vector<std::vector<Cell>> cells_by_dtype;
   for (const auto dtype : numeric::kAllDTypes) {
@@ -53,7 +53,8 @@ int main() {
     analysis::Table table({"experiment", "alignment", "weight frac",
                            "power (W)"});
     for (const Cell& cell : cells_by_dtype[d]) {
-      const auto& result = cell.handle.get();
+      const core::ExperimentResult& result =
+          cell.handle.get().static_result();
       alignment.push_back(result.alignment);
       weight.push_back(result.weight_fraction);
       power.push_back(result.power_w);

@@ -102,8 +102,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const core::FleetConfig uncapped_config = uncapped_builder.build();
-  const core::FleetHandle uncapped_handle =
-      engine.submit_fleet(uncapped_config);
+  const core::ScenarioHandle uncapped_handle = engine.submit(uncapped_config);
 
   core::FleetConfigBuilder floor_builder;
   floor_builder.experiment(experiment).slice(0.01).pstates(5);
@@ -111,11 +110,10 @@ int main(int argc, char** argv) {
   for (int i = 0; i < kDevices; ++i) {
     floor_builder.add_device(gpusim::GpuModel::kA100PCIe, "fixed(4)");
   }
-  const core::FleetResult floor_result =
-      engine.submit_fleet(floor_builder.build()).get();
-  const double floor_w = floor_result.avg_power_w;
+  const double floor_w =
+      engine.submit(floor_builder.build()).get().fleet().avg_power_w;
 
-  const core::FleetResult& uncapped = uncapped_handle.get();
+  const core::FleetResult& uncapped = uncapped_handle.get().fleet();
   std::printf(
       "uncapped fleet: %.1f W peak, %.2f J, completion %.3f s; idle floor "
       "%.1f W\n\n",

@@ -57,6 +57,20 @@ inline void print_engine_stats(const core::ExperimentEngine& engine) {
   std::printf("\nengine: %s\n", core::engine_stats_line(engine).c_str());
 }
 
+/// Submits every point of figure `id`'s sweep over `base` (each point's
+/// pattern replaces base.pattern); handles come back in sweep order.
+inline std::vector<core::ScenarioHandle> submit_figure(
+    core::ExperimentEngine& engine, core::FigureId id,
+    const core::ExperimentConfig& base) {
+  std::vector<core::ScenarioHandle> handles;
+  for (const core::SweepPoint& point : core::figure_sweep(id)) {
+    core::ExperimentConfig config = base;
+    config.pattern = point.spec;
+    handles.push_back(engine.submit(config));
+  }
+  return handles;
+}
+
 /// Runs a figure's sweep for all four datatypes through the engine and
 /// prints the series table.  Returns the process exit code.
 inline int run_figure(core::FigureId id) {
@@ -69,11 +83,11 @@ inline int run_figure(core::FigureId id) {
   core::ExperimentEngine engine = make_engine(env);
 
   // One sweep per datatype, all in flight at once.
-  std::vector<core::SweepRun> runs;
+  std::vector<std::vector<core::ScenarioHandle>> runs;
   for (const auto dtype : numeric::kAllDTypes) {
-    const core::ExperimentConfig base =
-        core::ExperimentConfigBuilder().dtype(dtype).env(env).build();
-    runs.push_back(engine.submit_sweep(id, base));
+    runs.push_back(submit_figure(
+        engine, id,
+        core::ExperimentConfigBuilder().dtype(dtype).env(env).build()));
   }
   engine.wait_all();
 
@@ -83,13 +97,13 @@ inline int run_figure(core::FigureId id) {
   }
   analysis::Table table(std::move(headers));
 
-  const std::size_t n_points = runs.front().points.size();
-  for (std::size_t p = 0; p < n_points; ++p) {
+  const std::vector<core::SweepPoint> points = core::figure_sweep(id);
+  for (std::size_t p = 0; p < points.size(); ++p) {
     std::vector<double> row;
-    for (const core::SweepRun& run : runs) {
-      row.push_back(run.handles[p].get().power_w);
+    for (const auto& handles : runs) {
+      row.push_back(handles[p].get().static_result().power_w);
     }
-    table.add_row(runs.front().points[p].label, row, 1);
+    table.add_row(points[p].label, row, 1);
   }
 
   table.print(std::cout);

@@ -3,7 +3,7 @@
 // print the DCGM-style reported power, runtime, and the per-rail breakdown.
 //
 // The four runs go through the ExperimentEngine: built with the fluent
-// ExperimentConfigBuilder, submitted as a batch, executed on the worker
+// ExperimentConfigBuilder, submitted up front, executed on the worker
 // pool, and collected in order.
 //
 // Build & run:
@@ -30,7 +30,7 @@ int main() {
   options.workers = env.workers;
   core::ExperimentEngine engine(options);
 
-  std::vector<core::ExperimentHandle> handles;
+  std::vector<core::ScenarioHandle> handles;
   for (const auto dtype : numeric::kAllDTypes) {
     handles.push_back(engine.submit(core::ExperimentConfigBuilder()
                                         .dtype(dtype)
@@ -44,7 +44,7 @@ int main() {
                          "energy/iter (J)", "fetch W", "operand W", "multiply W",
                          "accum W", "issue W"});
   for (std::size_t d = 0; d < std::size(numeric::kAllDTypes); ++d) {
-    const core::ExperimentResult& r = handles[d].get();
+    const core::ExperimentResult& r = handles[d].get().static_result();
     table.add_row(std::string(numeric::name(numeric::kAllDTypes[d])),
                   {r.power_w, r.power_std_w, r.iteration_s * 1e3,
                    r.energy_per_iter_j, r.rails.fetch_w, r.rails.operand_w,

@@ -167,9 +167,9 @@ class FleetConfigBuilder {
   /// `timeline` delayed by i * stagger_s (an idle prefix) with priority
   /// count - i — the phase-shifted fleet shape where allocation policy
   /// actually matters (synchronised bursts degenerate every allocator to
-  /// uniform).  Shared by `gpowerctl fleet` and `fig_fleet_capping` so
-  /// the CLI and the committed benchmark mean the same thing by "a
-  /// staggered fleet".
+  /// uniform).  Shared by the spec "staggered" block and
+  /// `fig_fleet_capping` so specs and the committed benchmark mean the
+  /// same thing by "a staggered fleet".
   FleetConfigBuilder& add_staggered_devices(
       const gpupower::gpusim::dvfs::WorkloadTimeline& timeline, int count,
       double stagger_s, gpupower::gpusim::GpuModel gpu,

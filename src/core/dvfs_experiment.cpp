@@ -77,10 +77,6 @@ std::vector<gpupower::gpusim::ActivityTotals> replica_activity_variants(
 }
 
 std::string validate_dvfs_config(const DvfsConfig& config) {
-  if (config.experiment.seeds <= 0) {
-    return "experiment.seeds must be >= 1, got " +
-           std::to_string(config.experiment.seeds);
-  }
   if (config.slice_s <= 0.0) return "slice_s must be > 0";
   if (config.timeline.empty()) return "timeline has no phases";
   if (config.pstates < 1 || config.pstates > 16) {
@@ -99,17 +95,8 @@ std::string validate_dvfs_config(const DvfsConfig& config) {
 
 dvfs::ReplayResult run_dvfs_seed_replica(const DvfsConfig& config,
                                          int seed_index) {
-  if (config.slice_s <= 0.0) {
-    throw std::invalid_argument("run_dvfs_seed_replica: slice_s must be > 0");
-  }
-  if (config.timeline.empty()) {
-    throw std::invalid_argument(
-        "run_dvfs_seed_replica: timeline has no phases");
-  }
-  if (config.pstates < 1 || config.pstates > 16) {
-    throw std::invalid_argument(
-        "run_dvfs_seed_replica: pstates must be in [1, 16], got " +
-        std::to_string(config.pstates));
+  if (const std::string error = validate_dvfs_config(config); !error.empty()) {
+    throw std::invalid_argument("run_dvfs_seed_replica: " + error);
   }
 
   const gpupower::gpusim::GpuSimulator sim(
@@ -165,20 +152,6 @@ DvfsResult reduce_dvfs_replicas(
   result.seeds = config.experiment.seeds;
   if (!replicas.empty()) result.trace = replicas.front();
   return result;
-}
-
-DvfsResult run_dvfs(const DvfsConfig& config) {
-  if (config.experiment.seeds <= 0) {
-    throw std::invalid_argument(
-        "run_dvfs: experiment.seeds must be >= 1, got " +
-        std::to_string(config.experiment.seeds));
-  }
-  std::vector<dvfs::ReplayResult> replicas;
-  replicas.reserve(static_cast<std::size_t>(config.experiment.seeds));
-  for (int s = 0; s < config.experiment.seeds; ++s) {
-    replicas.push_back(run_dvfs_seed_replica(config, s));
-  }
-  return reduce_dvfs_replicas(config, replicas);
 }
 
 std::string canonical_governor_key(const dvfs::GovernorConfig& governor) {

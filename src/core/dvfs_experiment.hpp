@@ -4,7 +4,7 @@
 // power level via the activity walk — with a workload timeline, a governor
 // policy, and the P-state table depth.  Each seed replica builds its own
 // inputs, estimates activity, and replays the timeline; replicas reduce
-// across seeds in seed order, exactly like run_experiment, so results are
+// across seeds in seed order, exactly like the static kind, so results are
 // bit-identical no matter how many engine workers computed them.
 #pragma once
 
@@ -61,16 +61,16 @@ struct DvfsResult {
   gpupower::gpusim::dvfs::ReplayResult trace;
 };
 
-/// Validates everything a hand-assembled config can get wrong (seeds,
-/// slice, empty timeline, pstates range, dangling phase-pattern
+/// Validates the DVFS-specific fields a hand-assembled config can get
+/// wrong (slice, empty timeline, pstates range, dangling phase-pattern
 /// references).  Returns an empty string when valid, else the first
-/// problem — shared by DvfsConfigBuilder, ExperimentEngine, and the
-/// scenario registry.
+/// problem — shared by run_dvfs_seed_replica and the scenario registry's
+/// dvfs validator (which checks seeds first, like every kind).
 [[nodiscard]] std::string validate_dvfs_config(const DvfsConfig& config);
 
 /// Replays one seed replica's timeline.  Pure and thread-safe, like
-/// run_seed_replica.  Throws std::invalid_argument on a non-positive slice
-/// or an empty timeline.
+/// run_seed_replica.  Throws std::invalid_argument when
+/// validate_dvfs_config rejects the config.
 [[nodiscard]] gpupower::gpusim::dvfs::ReplayResult run_dvfs_seed_replica(
     const DvfsConfig& config, int seed_index);
 
@@ -78,10 +78,6 @@ struct DvfsResult {
 [[nodiscard]] DvfsResult reduce_dvfs_replicas(
     const DvfsConfig& config,
     std::span<const gpupower::gpusim::dvfs::ReplayResult> replicas);
-
-/// Serial reference: all seed replicas in order.  Prefer
-/// ExperimentEngine::submit_dvfs for anything sweep-shaped.
-[[nodiscard]] DvfsResult run_dvfs(const DvfsConfig& config);
 
 /// Cache key, same contract as canonical_config_key: equal keys produce
 /// bit-identical DvfsResults.

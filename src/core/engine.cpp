@@ -269,20 +269,17 @@ void worker_loop(const std::shared_ptr<EngineState>& state) {
 
 namespace {
 
-[[noreturn]] void throw_invalid_handle(const char* cls,
-                                         const char* method) {
-  throw std::logic_error(std::string(cls) + "::" + method +
+[[noreturn]] void throw_invalid_handle(const char* method) {
+  throw std::logic_error(std::string("ScenarioHandle::") + method +
                          "() on a default-constructed (invalid) handle; "
-                         "obtain handles from the ExperimentEngine submit "
-                         "methods");
+                         "obtain handles from ExperimentEngine::submit");
 }
 
-// Shared bodies for the handle types (the public classes stay concrete;
-// only the implementations are generic).
-const ScenarioResult& handle_get(
-    const std::shared_ptr<detail::ScenarioJob>& job, const char* cls) {
-  if (!job) throw_invalid_handle(cls, "get");
-  detail::ScenarioJob& j = *job;
+}  // namespace
+
+const ScenarioResult& ScenarioHandle::get() const {
+  if (!job_) throw_invalid_handle("get");
+  detail::ScenarioJob& j = *job_;
   MutexLock lock(j.mutex);
   while (!j.done) j.cv.wait(j.mutex);
   if (j.error) std::rethrow_exception(j.error);
@@ -292,82 +289,18 @@ const ScenarioResult& handle_get(
   return j.result;
 }
 
-bool handle_ready(const std::shared_ptr<detail::ScenarioJob>& job,
-                  const char* cls) {
-  if (!job) throw_invalid_handle(cls, "ready");
-  MutexLock lock(job->mutex);
-  return job->done;
-}
-
-const ScenarioConfig& handle_config(
-    const std::shared_ptr<detail::ScenarioJob>& job, const char* cls) {
-  if (!job) throw_invalid_handle(cls, "config");
-  return job->config;
-}
-
-}  // namespace
-
-const ScenarioResult& ScenarioHandle::get() const {
-  return handle_get(job_, "ScenarioHandle");
-}
-
 bool ScenarioHandle::ready() const {
-  return handle_ready(job_, "ScenarioHandle");
+  if (!job_) throw_invalid_handle("ready");
+  MutexLock lock(job_->mutex);
+  return job_->done;
 }
 
 const ScenarioConfig& ScenarioHandle::config() const {
-  return handle_config(job_, "ScenarioHandle");
+  if (!job_) throw_invalid_handle("config");
+  return job_->config;
 }
 
-ScenarioKind ScenarioHandle::kind() const {
-  return handle_config(job_, "ScenarioHandle").kind();
-}
-
-const ExperimentResult& ExperimentHandle::get() const {
-  return handle_get(job_, "ExperimentHandle").static_result();
-}
-
-bool ExperimentHandle::ready() const {
-  return handle_ready(job_, "ExperimentHandle");
-}
-
-const ExperimentConfig& ExperimentHandle::config() const {
-  return handle_config(job_, "ExperimentHandle").static_config();
-}
-
-const DvfsResult& DvfsHandle::get() const {
-  return handle_get(job_, "DvfsHandle").dvfs();
-}
-
-bool DvfsHandle::ready() const { return handle_ready(job_, "DvfsHandle"); }
-
-const DvfsConfig& DvfsHandle::config() const {
-  return handle_config(job_, "DvfsHandle").dvfs();
-}
-
-const FleetResult& FleetHandle::get() const {
-  return handle_get(job_, "FleetHandle").fleet();
-}
-
-bool FleetHandle::ready() const { return handle_ready(job_, "FleetHandle"); }
-
-const FleetConfig& FleetHandle::config() const {
-  return handle_config(job_, "FleetHandle").fleet();
-}
-
-std::vector<SweepEntry> SweepRun::collect() const {
-  std::vector<SweepEntry> entries;
-  entries.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    entries.push_back({points[i], handles[i].get()});
-  }
-  return entries;
-}
-
-analysis::JsonValue SweepRun::to_json() const {
-  const std::vector<SweepEntry> entries = collect();
-  return sweep_to_json(figure, base, entries);
-}
+ScenarioKind ScenarioHandle::kind() const { return config().kind(); }
 
 ExperimentEngine::ExperimentEngine(EngineOptions options)
     : state_(std::make_shared<detail::EngineState>()) {
@@ -397,14 +330,14 @@ ExperimentEngine::~ExperimentEngine() {
   for (std::thread& thread : state_->threads) thread.join();
 }
 
-/// The one submit path every family funnels through: validate through the
-/// kind's registry hook, consult memory cache -> store -> compute, then
-/// fan the seed replicas out as queue tasks.  The canonical key is only
-/// computed when the cache is enabled (key serialisation is not free — a
-/// DVFS key spells out every timeline phase); the store is only consulted
-/// when the cache is (a cache-less engine recomputes by contract).
-std::shared_ptr<detail::ScenarioJob> ExperimentEngine::submit_job(
-    ScenarioConfig config, SubmitOutcome* outcome) {
+/// The one submit path: validate through the kind's registry hook, consult
+/// memory cache -> store -> compute, then fan the seed replicas out as
+/// queue tasks.  The canonical key is only computed when the cache is
+/// enabled (key serialisation is not free — a DVFS key spells out every
+/// timeline phase); the store is only consulted when the cache is (a
+/// cache-less engine recomputes by contract).
+ScenarioHandle ExperimentEngine::submit(ScenarioConfig config,
+                                        SubmitOutcome* outcome) {
   obs::Span submit_span("engine.submit");
   if (outcome != nullptr) *outcome = SubmitOutcome::kComputed;
   const ScenarioKindInfo& info = scenario_kind_info(config.kind());
@@ -450,7 +383,7 @@ std::shared_ptr<detail::ScenarioJob> ExperimentEngine::submit_job(
         ++state.stats.cache_hits;
         ++state.stats.by_kind[kind_index].cache_hits;
         if (outcome != nullptr) *outcome = SubmitOutcome::kCacheHit;
-        return it->second;
+        return ScenarioHandle(it->second);
       }
     }
   }
@@ -488,12 +421,12 @@ std::shared_ptr<detail::ScenarioJob> ExperimentEngine::submit_job(
         ++state.stats.cache_hits;
         ++state.stats.by_kind[kind_index].cache_hits;
         if (outcome != nullptr) *outcome = SubmitOutcome::kCacheHit;
-        return it->second;
+        return ScenarioHandle(it->second);
       }
       ++state.stats.store_hits;
       ++state.stats.by_kind[kind_index].store_hits;
       if (outcome != nullptr) *outcome = SubmitOutcome::kStoreHit;
-      return job;
+      return ScenarioHandle(job);
     }
   }
 
@@ -505,7 +438,7 @@ std::shared_ptr<detail::ScenarioJob> ExperimentEngine::submit_job(
         ++state.stats.cache_hits;
         ++state.stats.by_kind[kind_index].cache_hits;
         if (outcome != nullptr) *outcome = SubmitOutcome::kCacheHit;
-        return it->second;
+        return ScenarioHandle(it->second);
       }
     }
     ++state.stats.jobs_computed;
@@ -532,83 +465,7 @@ std::shared_ptr<detail::ScenarioJob> ExperimentEngine::submit_job(
     }
   }
   state.queue_cv.notify_all();
-  return job;
-}
-
-ScenarioHandle ExperimentEngine::submit(ScenarioConfig config) {
-  return ScenarioHandle(submit_job(std::move(config), nullptr));
-}
-
-ScenarioHandle ExperimentEngine::submit(ScenarioConfig config,
-                                        SubmitOutcome* outcome) {
-  return ScenarioHandle(submit_job(std::move(config), outcome));
-}
-
-std::vector<ScenarioHandle> ExperimentEngine::submit_batch(
-    const std::vector<ScenarioConfig>& configs) {
-  std::vector<ScenarioHandle> handles;
-  handles.reserve(configs.size());
-  for (const ScenarioConfig& config : configs) {
-    handles.push_back(submit(config));
-  }
-  return handles;
-}
-
-ExperimentHandle ExperimentEngine::submit(const ExperimentConfig& config) {
-  return ExperimentHandle(submit_job(ScenarioConfig(config), nullptr));
-}
-
-std::vector<ExperimentHandle> ExperimentEngine::submit_batch(
-    const std::vector<ExperimentConfig>& configs) {
-  std::vector<ExperimentHandle> handles;
-  handles.reserve(configs.size());
-  for (const ExperimentConfig& config : configs) {
-    handles.push_back(submit(config));
-  }
-  return handles;
-}
-
-SweepRun ExperimentEngine::submit_sweep(FigureId id,
-                                        const ExperimentConfig& base) {
-  SweepRun run;
-  run.figure = id;
-  run.base = base;
-  run.points = figure_sweep(id);
-  run.handles.reserve(run.points.size());
-  for (const SweepPoint& point : run.points) {
-    ExperimentConfig config = base;
-    config.pattern = point.spec;
-    run.handles.push_back(submit(config));
-  }
-  return run;
-}
-
-DvfsHandle ExperimentEngine::submit_dvfs(const DvfsConfig& config) {
-  return DvfsHandle(submit_job(ScenarioConfig(config), nullptr));
-}
-
-std::vector<DvfsHandle> ExperimentEngine::submit_dvfs_batch(
-    const std::vector<DvfsConfig>& configs) {
-  std::vector<DvfsHandle> handles;
-  handles.reserve(configs.size());
-  for (const DvfsConfig& config : configs) {
-    handles.push_back(submit_dvfs(config));
-  }
-  return handles;
-}
-
-FleetHandle ExperimentEngine::submit_fleet(const FleetConfig& config) {
-  return FleetHandle(submit_job(ScenarioConfig(config), nullptr));
-}
-
-std::vector<FleetHandle> ExperimentEngine::submit_fleet_batch(
-    const std::vector<FleetConfig>& configs) {
-  std::vector<FleetHandle> handles;
-  handles.reserve(configs.size());
-  for (const FleetConfig& config : configs) {
-    handles.push_back(submit_fleet(config));
-  }
-  return handles;
+  return ScenarioHandle(std::move(job));
 }
 
 void ExperimentEngine::wait_all() {

@@ -1,30 +1,27 @@
 // ExperimentEngine: the batched, cached, parallel front end to the
-// experiment pipeline — the long-lived subsystem that replaces one-shot
-// `run_experiment` calls for every sweep-scale workload (14 figures x 4
-// datatypes x sweep points x 10 seeds in the paper's full protocol).
+// experiment pipeline — the long-lived subsystem behind every sweep-scale
+// workload (14 figures x 4 datatypes x sweep points x 10 seeds in the
+// paper's full protocol).
 //
 // Every submission — classic static experiment, DVFS timeline replay,
 // power-capped fleet — goes through ONE type-erased entry point:
 //
-//   ExperimentEngine engine;                       // worker pool sized to HW
-//   auto any   = engine.submit(ScenarioConfig(fleet_config));  // any kind
-//   auto handle = engine.submit(config);           // typed wrapper, same path
-//   auto sweep  = engine.submit_sweep(FigureId::kFig6aSparsity, base);
+//   ExperimentEngine engine;                        // worker pool sized to HW
+//   auto a = engine.submit(experiment_config);      // ScenarioConfig converts
+//   auto b = engine.submit(fleet_config);           // implicitly from any kind
 //   engine.wait_all();
-//   const FleetResult& f = any.get().fleet();
-//   const ExperimentResult& r = handle.get();      // blocks if still running
-//   auto entries = sweep.collect();                // [SweepPoint, Result]...
+//   const ExperimentResult& r = a.get().static_result();  // blocks if running
+//   const FleetResult& f = b.get().fleet();
 //
-// The typed submit/submit_dvfs/submit_fleet families are thin wrappers over
-// submit(ScenarioConfig) — same cache, same replica pool, same seed-order
-// reduction — so they are bit-identical to the type-erased path by
-// construction.  New scenario kinds plug in through the registry in
-// core/scenario.hpp without touching the engine.
+// A figure sweep is a loop over figure_sweep(id) (core/figures.hpp) or a
+// campaign spec with a "figure" axis (core/spec.hpp).  New scenario kinds
+// plug in through the registry in core/scenario.hpp without touching the
+// engine.
 //
 // Guarantees:
-//  - Results are bit-identical to the serial reference paths: seed replicas
-//    derive independent RNG streams, the engine computes them in parallel
-//    and folds them in seed order through the kind's reduce hook.
+//  - Results are bit-identical to the serial reference run_scenario: seed
+//    replicas derive independent RNG streams, the engine computes them in
+//    parallel and folds them in seed order through the kind's reduce hook.
 //  - Submissions are de-duplicated through an in-engine cache keyed by
 //    `canonical_scenario_key` (kind-prefixed), so sweeps sharing points —
 //    e.g. every figure's baseline column — are computed once.  In-flight
@@ -38,8 +35,6 @@
 #include <vector>
 
 #include "analysis/json.hpp"
-#include "core/figures.hpp"
-#include "core/report.hpp"
 #include "core/scenario.hpp"
 
 namespace gpupower::core {
@@ -142,85 +137,10 @@ class ScenarioHandle {
 
  private:
   friend class ExperimentEngine;
-  friend class ExperimentHandle;
-  friend class DvfsHandle;
-  friend class FleetHandle;
   explicit ScenarioHandle(std::shared_ptr<detail::ScenarioJob> job)
       : job_(std::move(job)) {}
 
   std::shared_ptr<detail::ScenarioJob> job_;
-};
-
-/// Typed view of a static-experiment job — a thin wrapper over the shared
-/// type-erased job (same cache entry, same result storage).
-class ExperimentHandle {
- public:
-  ExperimentHandle() = default;
-
-  /// Blocks until the experiment finishes; rethrows any worker exception.
-  [[nodiscard]] const ExperimentResult& get() const;
-  [[nodiscard]] bool ready() const;
-  [[nodiscard]] const ExperimentConfig& config() const;
-  [[nodiscard]] bool valid() const noexcept { return job_ != nullptr; }
-
- private:
-  friend class ExperimentEngine;
-  explicit ExperimentHandle(std::shared_ptr<detail::ScenarioJob> job)
-      : job_(std::move(job)) {}
-
-  std::shared_ptr<detail::ScenarioJob> job_;
-};
-
-/// Typed view of a DVFS timeline job — same semantics as ExperimentHandle.
-class DvfsHandle {
- public:
-  DvfsHandle() = default;
-
-  /// Blocks until the replay finishes; rethrows any worker exception.
-  [[nodiscard]] const DvfsResult& get() const;
-  [[nodiscard]] bool ready() const;
-  [[nodiscard]] const DvfsConfig& config() const;
-  [[nodiscard]] bool valid() const noexcept { return job_ != nullptr; }
-
- private:
-  friend class ExperimentEngine;
-  explicit DvfsHandle(std::shared_ptr<detail::ScenarioJob> job)
-      : job_(std::move(job)) {}
-
-  std::shared_ptr<detail::ScenarioJob> job_;
-};
-
-/// Typed view of a fleet job — same semantics as the other handles.
-class FleetHandle {
- public:
-  FleetHandle() = default;
-
-  /// Blocks until the fleet replay finishes; rethrows any worker exception.
-  [[nodiscard]] const FleetResult& get() const;
-  [[nodiscard]] bool ready() const;
-  [[nodiscard]] const FleetConfig& config() const;
-  [[nodiscard]] bool valid() const noexcept { return job_ != nullptr; }
-
- private:
-  friend class ExperimentEngine;
-  explicit FleetHandle(std::shared_ptr<detail::ScenarioJob> job)
-      : job_(std::move(job)) {}
-
-  std::shared_ptr<detail::ScenarioJob> job_;
-};
-
-/// A figure sweep in flight: one handle per sweep point, in sweep order.
-struct SweepRun {
-  FigureId figure{};
-  ExperimentConfig base;          ///< shared scalars (pattern varies per point)
-  std::vector<SweepPoint> points;
-  std::vector<ExperimentHandle> handles;
-
-  /// Blocks until every point finishes; pairs each with its sweep point.
-  [[nodiscard]] std::vector<SweepEntry> collect() const;
-  /// Structured export: collect() fed through core/report.hpp's
-  /// sweep_to_json.
-  [[nodiscard]] analysis::JsonValue to_json() const;
 };
 
 class ExperimentEngine {
@@ -231,8 +151,8 @@ class ExperimentEngine {
   ExperimentEngine(const ExperimentEngine&) = delete;
   ExperimentEngine& operator=(const ExperimentEngine&) = delete;
 
-  /// How a submit was satisfied — reported through the out-param overload
-  /// below so a caller (serve's per-session accounting) can attribute
+  /// How a submit was satisfied — reported through submit()'s out-param
+  /// so a caller (serve's per-session accounting) can attribute
   /// dedup/store traffic per client without diffing racy engine-wide
   /// stats snapshots.
   enum class SubmitOutcome {
@@ -245,43 +165,10 @@ class ExperimentEngine {
   /// blocks).  Identical configs — by canonical_scenario_key — share one
   /// computation and one result.  Throws std::invalid_argument when the
   /// kind's validator rejects the config (zero seeds, empty timeline,
-  /// dangling cross-references, ...).
-  ScenarioHandle submit(ScenarioConfig config);
-
-  /// As above, reporting how the submit was satisfied (outcome may be
-  /// nullptr).
-  ScenarioHandle submit(ScenarioConfig config, SubmitOutcome* outcome);
-
-  /// Enqueues a batch of scenarios; handles are in input order.
-  std::vector<ScenarioHandle> submit_batch(
-      const std::vector<ScenarioConfig>& configs);
-
-  /// Typed wrapper over submit(ScenarioConfig) for classic experiments.
-  ExperimentHandle submit(const ExperimentConfig& config);
-
-  /// Enqueues a batch; handles are in input order.
-  std::vector<ExperimentHandle> submit_batch(
-      const std::vector<ExperimentConfig>& configs);
-
-  /// Enqueues every sweep point of a paper figure.  `base` supplies the
-  /// scalars (gpu, dtype, n, seeds, sampling...); each point's PatternSpec
-  /// overrides `base.pattern`.  (Campaign specs — core/spec.hpp — are the
-  /// generic grid form of this.)
-  SweepRun submit_sweep(FigureId id, const ExperimentConfig& base);
-
-  /// Typed wrapper over submit(ScenarioConfig) for DVFS timeline replays.
-  DvfsHandle submit_dvfs(const DvfsConfig& config);
-
-  /// Enqueues a batch of DVFS experiments; handles are in input order.
-  std::vector<DvfsHandle> submit_dvfs_batch(
-      const std::vector<DvfsConfig>& configs);
-
-  /// Typed wrapper over submit(ScenarioConfig) for fleet experiments.
-  FleetHandle submit_fleet(const FleetConfig& config);
-
-  /// Enqueues a batch of fleet experiments; handles are in input order.
-  std::vector<FleetHandle> submit_fleet_batch(
-      const std::vector<FleetConfig>& configs);
+  /// dangling cross-references, ...).  When `outcome` is non-null it
+  /// receives how the submit was satisfied.
+  ScenarioHandle submit(ScenarioConfig config,
+                        SubmitOutcome* outcome = nullptr);
 
   /// Blocks until every outstanding job has finished.
   void wait_all();
@@ -301,9 +188,6 @@ class ExperimentEngine {
   void clear_cache();
 
  private:
-  std::shared_ptr<detail::ScenarioJob> submit_job(ScenarioConfig config,
-                                                  SubmitOutcome* outcome);
-
   std::shared_ptr<detail::EngineState> state_;
 };
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 namespace gpupower::core {
 namespace {
@@ -17,42 +18,82 @@ long read_long(const char* name, long fallback, long min, long max,
                const char* expect) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || v < min || v > max) {
-    die(name, raw, expect);
-  }
+  long v = 0;
+  if (!parse_long_strict(raw, min, max, v)) die(name, raw, expect);
   return v;
 }
 
-double read_double(const char* name, double fallback, double min, double max,
-                   const char* expect) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
+/// Each BenchEnv knob's environment variable, in read order.
+constexpr std::pair<BenchKnob, const char*> kKnobVars[] = {
+    {BenchKnob::kN, "GPUPOWER_N"},
+    {BenchKnob::kSeeds, "GPUPOWER_SEEDS"},
+    {BenchKnob::kTiles, "GPUPOWER_TILES"},
+    {BenchKnob::kKFraction, "GPUPOWER_KFRAC"},
+    {BenchKnob::kWorkers, "GPUPOWER_WORKERS"},
+};
+
+/// As parse_long_strict for reals in (min, max] — the lower bound is
+/// exclusive, which is what fraction knobs want.
+bool parse_double_strict(const char* text, double min, double max,
+                         double& out) {
+  if (text == nullptr || *text == '\0') return false;
   char* end = nullptr;
-  const double v = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || !(v > min) || !(v <= max)) {
-    die(name, raw, expect);
-  }
-  return v;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !(v > min) || !(v <= max)) return false;
+  out = v;
+  return true;
 }
 
 }  // namespace
 
+bool parse_long_strict(const char* text, long min, long max, long& out) {
+  if (text == nullptr || *text == '\0') return false;
+  char* end = nullptr;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || v < min || v > max) return false;
+  out = v;
+  return true;
+}
+
+bool set_bench_knob(BenchEnv& env, BenchKnob knob, const char* text,
+                    std::string& expect) {
+  long v = 0;
+  switch (knob) {
+    case BenchKnob::kN:
+      expect = "integer matrix size in [64, 65536]";
+      if (!parse_long_strict(text, 64, 65536, v)) return false;
+      env.n = static_cast<std::size_t>(v);
+      return true;
+    case BenchKnob::kSeeds:
+      expect = "integer seed count in [1, 10000]";
+      if (!parse_long_strict(text, 1, 10000, v)) return false;
+      env.seeds = static_cast<int>(v);
+      return true;
+    case BenchKnob::kTiles:
+      expect = "integer tile budget in [0, 1000000]; 0 = exact walk";
+      if (!parse_long_strict(text, 0, 1000000, v)) return false;
+      env.tiles = static_cast<std::size_t>(v);
+      return true;
+    case BenchKnob::kKFraction:
+      expect = "fraction in (0, 1]";
+      return parse_double_strict(text, 0.0, 1.0, env.k_fraction);
+    case BenchKnob::kWorkers:
+      expect = "worker count in [0, 256]; 0 = hardware concurrency";
+      if (!parse_long_strict(text, 0, 256, v)) return false;
+      env.workers = static_cast<int>(v);
+      return true;
+  }
+  return false;
+}
+
 BenchEnv read_bench_env() {
   BenchEnv env;
-  env.n = static_cast<std::size_t>(read_long(
-      "GPUPOWER_N", 512, 64, 65536, "integer matrix size in [64, 65536]"));
-  env.seeds = static_cast<int>(read_long("GPUPOWER_SEEDS", 2, 1, 10000,
-                                         "integer seed count in [1, 10000]"));
-  env.tiles = static_cast<std::size_t>(
-      read_long("GPUPOWER_TILES", 12, 0, 1000000,
-                "integer tile budget in [0, 1000000]; 0 = exact walk"));
-  env.k_fraction = read_double("GPUPOWER_KFRAC", 0.5, 0.0, 1.0,
-                               "fraction in (0, 1]");
-  env.workers = static_cast<int>(
-      read_long("GPUPOWER_WORKERS", 0, 0, 256,
-                "worker count in [0, 256]; 0 = hardware concurrency"));
+  for (const auto& [knob, name] : kKnobVars) {
+    const char* raw = std::getenv(name);
+    if (raw == nullptr || *raw == '\0') continue;
+    std::string expect;
+    if (!set_bench_knob(env, knob, raw, expect)) die(name, raw, expect.c_str());
+  }
   env.csv = std::getenv("GPUPOWER_CSV") != nullptr;
   return env;
 }

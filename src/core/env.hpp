@@ -57,6 +57,24 @@ struct BenchEnv {
 /// and exit(2).
 [[nodiscard]] BenchEnv read_bench_env();
 
+/// Strict whole-token integer parse, the one number validator behind every
+/// GPUPOWER_* knob and gpowerctl's numeric flags: `text` must be exactly
+/// one base-10 integer in [min, max] — no empty string, no trailing
+/// characters ("3x" and "abc" are rejected, not read as 3 and 0).
+[[nodiscard]] bool parse_long_strict(const char* text, long min, long max,
+                                     long& out);
+
+/// The BenchEnv knobs.  Each has one validator (range and message), shared
+/// by its GPUPOWER_* variable and any command-line flag mirroring it.
+enum class BenchKnob { kN, kSeeds, kTiles, kKFraction, kWorkers };
+
+/// Parses `text` into `env`'s field for `knob`.  Returns false on a
+/// malformed or out-of-range value, leaving the field unchanged; `expect`
+/// always receives the accepted form (e.g. "integer seed count in
+/// [1, 10000]") for the caller's error message.
+[[nodiscard]] bool set_bench_knob(BenchEnv& env, BenchKnob knob,
+                                  const char* text, std::string& expect);
+
 /// Persistent-result-store knobs (core/store/result_store.hpp).
 struct StoreEnv {
   std::string dir;       ///< GPUPOWER_STORE_DIR; empty = no store

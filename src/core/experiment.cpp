@@ -1,8 +1,5 @@
 #include "core/experiment.hpp"
 
-#include <stdexcept>
-#include <string>
-#include <vector>
 
 #include "analysis/stats.hpp"
 #include "patterns/rng.hpp"
@@ -116,20 +113,6 @@ ExperimentResult reduce_replicas(const ExperimentConfig& config,
   result.rails.issue_w = issue_w.mean();
   result.seeds = config.seeds;
   return result;
-}
-
-ExperimentResult run_experiment(const ExperimentConfig& config) {
-  if (config.seeds <= 0) {
-    throw std::invalid_argument(
-        "run_experiment: config.seeds must be >= 1, got " +
-        std::to_string(config.seeds));
-  }
-  std::vector<SeedReplicaResult> replicas;
-  replicas.reserve(static_cast<std::size_t>(config.seeds));
-  for (int s = 0; s < config.seeds; ++s) {
-    replicas.push_back(run_seed_replica(config, s));
-  }
-  return reduce_replicas(config, replicas);
 }
 
 }  // namespace gpupower::core

@@ -99,11 +99,4 @@ decltype(auto) with_storage_type(gpupower::numeric::DType dtype, F&& f) {
 [[nodiscard]] ExperimentResult reduce_replicas(
     const ExperimentConfig& config, std::span<const SeedReplicaResult> replicas);
 
-/// Runs one experiment configuration (all seed replicas), serially.
-///
-/// Deprecated: prefer `ExperimentEngine::submit` (core/engine.hpp), which
-/// batches, caches, and parallelises while staying bit-identical to this
-/// path.  Kept as the single-call serial reference implementation.
-[[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
-
 }  // namespace gpupower::core

@@ -243,20 +243,6 @@ FleetResult reduce_fleet_replicas(
   return result;
 }
 
-FleetResult run_fleet(const FleetConfig& config) {
-  if (config.experiment.seeds <= 0) {
-    throw std::invalid_argument(
-        "run_fleet: experiment.seeds must be >= 1, got " +
-        std::to_string(config.experiment.seeds));
-  }
-  std::vector<fleet::FleetRun> replicas;
-  replicas.reserve(static_cast<std::size_t>(config.experiment.seeds));
-  for (int s = 0; s < config.experiment.seeds; ++s) {
-    replicas.push_back(run_fleet_seed_replica(config, s));
-  }
-  return reduce_fleet_replicas(config, replicas);
-}
-
 std::string canonical_fleet_key(const FleetConfig& config) {
   std::string key = canonical_config_key(config.experiment);
   key += "|alloc=" +

@@ -7,13 +7,13 @@
 // seed replica builds its inputs and estimates activity ONCE (activity
 // depends on inputs and sampling, not on the device), fans the timelines
 // across the devices, and replays the fleet in lockstep slices; replicas
-// reduce across seeds in seed order, exactly like run_experiment, so
+// reduce across seeds in seed order, exactly like the static kind, so
 // results are bit-identical no matter how many engine workers computed
 // them.
 //
 // A fleet of one device with an infinite cap and the thermal model off is
-// bit-identical to the single-device DVFS pipeline (submit_dvfs) — pinned
-// by the equivalence suite.
+// bit-identical to the single-device DVFS scenario — pinned by the
+// equivalence suite.
 #pragma once
 
 #include <span>
@@ -109,10 +109,6 @@ struct FleetResult {
     const FleetConfig& config,
     std::span<const gpupower::gpusim::fleet::FleetRun> replicas);
 
-/// Serial reference: all seed replicas in order.  Prefer
-/// ExperimentEngine::submit_fleet for anything sweep-shaped.
-[[nodiscard]] FleetResult run_fleet(const FleetConfig& config);
-
 /// Cache key, same contract as canonical_config_key: equal keys produce
 /// bit-identical FleetResults.
 [[nodiscard]] std::string canonical_fleet_key(const FleetConfig& config);
@@ -121,7 +117,7 @@ struct FleetResult {
 /// (devices present, timeline indices in range, phase-pattern references
 /// resolvable, slice/cap/pstates in range).  Returns an empty string when
 /// valid, else the first problem — shared by run_fleet_seed_replica and
-/// ExperimentEngine::submit_fleet.
+/// the scenario registry's fleet validator.
 [[nodiscard]] std::string validate_fleet_config(const FleetConfig& config);
 
 }  // namespace gpupower::core

@@ -44,26 +44,6 @@ analysis::JsonValue to_json(const ExperimentConfig& config,
   return j;
 }
 
-analysis::JsonValue sweep_to_json(FigureId id, const ExperimentConfig& base,
-                                  std::span<const SweepEntry> entries) {
-  using analysis::JsonValue;
-  JsonValue series = JsonValue::array();
-  for (const SweepEntry& entry : entries) {
-    ExperimentConfig config = base;
-    config.pattern = entry.point.spec;
-    JsonValue point = to_json(config, entry.result);
-    point.set("x", JsonValue::number(entry.point.x))
-        .set("label", JsonValue::string(entry.point.label));
-    series.push(std::move(point));
-  }
-  JsonValue j = JsonValue::object();
-  j.set("figure", JsonValue::string(figure_key(id)))
-      .set("name", JsonValue::string(figure_name(id)))
-      .set("axis", JsonValue::string(figure_axis(id)))
-      .set("series", std::move(series));
-  return j;
-}
-
 analysis::JsonValue dvfs_to_json(const DvfsConfig& config,
                                  const DvfsResult& result) {
   using analysis::JsonValue;

@@ -1,15 +1,12 @@
-// Structured export of experiment results: turns ExperimentConfig/Result
-// pairs (and whole figure sweeps) into JSON for downstream analysis and
-// archival — the artifact format `gpowerctl sweep --json` and scripts can
-// consume.
+// Structured export of experiment results: turns each scenario kind's
+// config/result pair into JSON for downstream analysis and archival — the
+// per-kind display exporters behind scenario_to_json and `gpowerctl run
+// --json`.
 #pragma once
-
-#include <span>
 
 #include "analysis/json.hpp"
 #include "core/dvfs_experiment.hpp"
 #include "core/experiment.hpp"
-#include "core/figures.hpp"
 #include "core/fleet_experiment.hpp"
 
 namespace gpupower::core {
@@ -18,16 +15,6 @@ namespace gpupower::core {
 /// DSL form, rails broken out, protocol recorded).
 [[nodiscard]] analysis::JsonValue to_json(const ExperimentConfig& config,
                                           const ExperimentResult& result);
-
-/// A whole figure sweep: {figure, axis, series: [{x, label, result...}]}.
-struct SweepEntry {
-  SweepPoint point;
-  ExperimentResult result;
-};
-
-[[nodiscard]] analysis::JsonValue sweep_to_json(FigureId id,
-                                                const ExperimentConfig& base,
-                                                std::span<const SweepEntry> entries);
 
 /// A DVFS timeline experiment: config (governor/timeline in DSL form),
 /// across-seed summary, and the representative per-slice trace.

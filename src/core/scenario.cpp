@@ -67,6 +67,8 @@ analysis::JsonValue static_json(const ScenarioConfig& config,
 // --- DVFS hooks ------------------------------------------------------------
 
 std::string dvfs_validate(const ScenarioConfig& config) {
+  const std::string seeds = validate_seeds(config.dvfs().experiment.seeds);
+  if (!seeds.empty()) return seeds;
   return validate_dvfs_config(config.dvfs());
 }
 

@@ -8,10 +8,6 @@
 // engine, the spec front end (core/spec.hpp), and the CLI dispatch through
 // exactly one code path.  Adding a scenario kind means adding one variant
 // alternative and one descriptor row — not re-plumbing seven layers.
-//
-// The typed submit_* families remain as thin wrappers over the type-erased
-// path, bit-identical by construction: same worker pool, same cache, same
-// seed-order reduction.
 #pragma once
 
 #include <span>
@@ -154,8 +150,9 @@ struct ScenarioKindInfo {
 /// Kind-prefixed canonical key: equal keys produce bit-identical results.
 [[nodiscard]] std::string canonical_scenario_key(const ScenarioConfig& config);
 
-/// Serial reference: every seed replica in order, reduced.  Prefer
-/// ExperimentEngine::submit for anything batched.
+/// The one serial reference: every seed replica in order, reduced through
+/// the same per-kind hooks the engine uses.  Prefer ExperimentEngine::submit
+/// for anything batched.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& config);
 
 /// Structured export through the kind's exporter (to_json / dvfs_to_json /

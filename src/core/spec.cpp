@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -101,6 +102,25 @@ bool read_int(const JsonValue& v, std::string_view path, Ctx& ctx,
   if (static_cast<double>(out) != value) {
     return ctx.fail(path, "expected an integer");
   }
+  return true;
+}
+
+/// read_int narrowed to `int`: values outside the int range are rejected
+/// here, naming the key, instead of wrapping in the cast.
+bool read_int32(const JsonValue& v, std::string_view path, Ctx& ctx,
+                int& out) {
+  long long value = 0;
+  if (!read_int(v, path, ctx, value)) return false;
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return ctx.fail(path, "integer " + std::to_string(value) +
+                              " out of range [" +
+                              std::to_string(std::numeric_limits<int>::min()) +
+                              ", " +
+                              std::to_string(std::numeric_limits<int>::max()) +
+                              "]");
+  }
+  out = static_cast<int>(value);
   return true;
 }
 
@@ -272,9 +292,9 @@ bool parse_experiment(const JsonValue* obj, std::string_view path, Ctx& ctx,
       builder.n(static_cast<std::size_t>(n));
     }
     if (const JsonValue* v = obj->find("seeds")) {
-      long long seeds = 0;
-      if (!read_int(*v, join_path(path, "seeds"), ctx, seeds)) return false;
-      builder.seeds(static_cast<int>(seeds));
+      int seeds = 0;
+      if (!read_int32(*v, join_path(path, "seeds"), ctx, seeds)) return false;
+      builder.seeds(seeds);
     }
     if (const JsonValue* v = obj->find("iterations")) {
       long long iterations = 0;
@@ -446,11 +466,10 @@ bool parse_governor_field(const JsonValue& v, std::string_view path, Ctx& ctx,
     }
   }
   if (const JsonValue* f = v.find("fixed_pstate")) {
-    long long pstate = 0;
-    if (!read_int(*f, join_path(path, "fixed_pstate"), ctx, pstate)) {
+    if (!read_int32(*f, join_path(path, "fixed_pstate"), ctx,
+                    config.fixed_pstate)) {
       return false;
     }
-    config.fixed_pstate = static_cast<int>(pstate);
   }
   if (const JsonValue* f = v.find("boost_util")) {
     if (!read_number(*f, join_path(path, "boost_util"), ctx,
@@ -517,11 +536,10 @@ bool parse_thermal(const JsonValue& v, std::string_view path, Ctx& ctx,
     }
   }
   if (const JsonValue* f = v.find("throttle_pstate")) {
-    long long pstate = 0;
-    if (!read_int(*f, join_path(path, "throttle_pstate"), ctx, pstate)) {
+    if (!read_int32(*f, join_path(path, "throttle_pstate"), ctx,
+                    config.throttle_pstate)) {
       return false;
     }
-    config.throttle_pstate = static_cast<int>(pstate);
   }
   if (const JsonValue* f = v.find("initial_c")) {
     if (!read_number(*f, join_path(path, "initial_c"), ctx,
@@ -608,9 +626,9 @@ bool parse_dvfs(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
     builder.slice(slice);
   }
   if (const JsonValue* v = doc.find("pstates")) {
-    long long pstates = 0;
-    if (!read_int(*v, "pstates", ctx, pstates)) return false;
-    builder.pstates(static_cast<int>(pstates));
+    int pstates = 0;
+    if (!read_int32(*v, "pstates", ctx, pstates)) return false;
+    builder.pstates(pstates);
   }
   if (!builder.valid()) return ctx.fail("", builder.error());
   out = ScenarioConfig(builder.build());
@@ -678,18 +696,16 @@ bool parse_fleet(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
         }
       }
       if (const JsonValue* f = entry.find("timeline")) {
-        long long timeline = 0;
-        if (!read_int(*f, join_path(device_path, "timeline"), ctx, timeline)) {
+        if (!read_int32(*f, join_path(device_path, "timeline"), ctx,
+                        device.timeline)) {
           return false;
         }
-        device.timeline = static_cast<int>(timeline);
       }
       if (const JsonValue* f = entry.find("priority")) {
-        long long priority = 0;
-        if (!read_int(*f, join_path(device_path, "priority"), ctx, priority)) {
+        if (!read_int32(*f, join_path(device_path, "priority"), ctx,
+                        device.priority)) {
           return false;
         }
-        device.priority = static_cast<int>(priority);
       }
       builder.add_device(device);
     }
@@ -720,8 +736,8 @@ bool parse_fleet(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
     if (count_value == nullptr) {
       return ctx.fail("staggered.count", "required (device count)");
     }
-    long long count = 0;
-    if (!read_int(*count_value, "staggered.count", ctx, count)) return false;
+    int count = 0;
+    if (!read_int32(*count_value, "staggered.count", ctx, count)) return false;
     double stagger_s = 0.0;
     if (const JsonValue* f = v->find("stagger_s")) {
       if (!read_number(*f, "staggered.stagger_s", ctx, stagger_s)) {
@@ -745,7 +761,7 @@ bool parse_fleet(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
       }
     }
     builder.add_staggered_devices(parsed_timeline.timeline,
-                                  static_cast<int>(count), stagger_s, gpu,
+                                  count, stagger_s, gpu,
                                   governor_dsl);
   }
   if (const JsonValue* v = doc.find("allocator")) {
@@ -779,9 +795,9 @@ bool parse_fleet(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
     builder.slice(slice);
   }
   if (const JsonValue* v = doc.find("pstates")) {
-    long long pstates = 0;
-    if (!read_int(*v, "pstates", ctx, pstates)) return false;
-    builder.pstates(static_cast<int>(pstates));
+    int pstates = 0;
+    if (!read_int32(*v, "pstates", ctx, pstates)) return false;
+    builder.pstates(pstates);
   }
   if (!builder.valid()) return ctx.fail("", builder.error());
   out = ScenarioConfig(builder.build());

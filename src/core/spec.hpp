@@ -4,8 +4,8 @@
 // parse_scenario_spec + ExperimentEngine::submit) executes it.  The
 // `campaign` form grid-sweeps *arbitrary* named fields — cap level x
 // allocator, governor threshold x dtype, seeds, ... — and fans the
-// cross-product through the engine as one deduplicated batch, the generic
-// form of the figure-only submit_sweep.
+// cross-product through the engine as one deduplicated batch; a "figure"
+// axis makes it a paper figure sweep.
 //
 // Single-scenario shape (every field optional unless noted; unknown keys
 // are rejected with an error naming the key):

@@ -229,7 +229,7 @@ void expect_identical(const DvfsResult& a, const DvfsResult& b) {
 
 TEST(DvfsReplay, EngineReplayIsDeterministicAcrossWorkerCounts) {
   const DvfsConfig config = small_dvfs_config();
-  const DvfsResult serial = core::run_dvfs(config);
+  const DvfsResult serial = core::run_scenario(config).dvfs();
 
   // 1 worker, N workers, and (when set) the GPUPOWER_WORKERS count the
   // acceptance protocol sweeps — all bit-identical to the serial loop.
@@ -241,16 +241,16 @@ TEST(DvfsReplay, EngineReplayIsDeterministicAcrossWorkerCounts) {
     core::EngineOptions options;
     options.workers = workers;
     core::ExperimentEngine engine(options);
-    const core::DvfsHandle handle = engine.submit_dvfs(config);
-    expect_identical(serial, handle.get());
+    const core::ScenarioHandle handle = engine.submit(config);
+    expect_identical(serial, handle.get().dvfs());
   }
 }
 
 TEST(DvfsReplay, EngineCachesIdenticalSubmissions) {
   core::ExperimentEngine engine(core::EngineOptions::with_workers(2));
   const DvfsConfig config = small_dvfs_config();
-  const core::DvfsHandle first = engine.submit_dvfs(config);
-  const core::DvfsHandle second = engine.submit_dvfs(config);
+  const core::ScenarioHandle first = engine.submit(config);
+  const core::ScenarioHandle second = engine.submit(config);
   engine.wait_all();
   EXPECT_EQ(engine.stats().cache_hits, 1u);
   EXPECT_EQ(&first.get(), &second.get());
@@ -258,7 +258,7 @@ TEST(DvfsReplay, EngineCachesIdenticalSubmissions) {
   // A different governor is a different job.
   DvfsConfig oracle = config;
   oracle.governor.policy = GovernorConfig::Policy::kOracle;
-  (void)engine.submit_dvfs(oracle);
+  (void)engine.submit(oracle);
   engine.wait_all();
   EXPECT_EQ(engine.stats().jobs_computed, 2u);
 }
@@ -279,13 +279,13 @@ TEST(DvfsReplay, EngineRejectsDegenerateConfigs) {
   core::ExperimentEngine engine(core::EngineOptions::with_workers(1));
   DvfsConfig config = small_dvfs_config();
   config.experiment.seeds = 0;
-  EXPECT_THROW((void)engine.submit_dvfs(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
   config = small_dvfs_config();
   config.slice_s = 0.0;
-  EXPECT_THROW((void)engine.submit_dvfs(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
   config = small_dvfs_config();
   config.timeline = WorkloadTimeline{};
-  EXPECT_THROW((void)engine.submit_dvfs(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
 }
 
 // --- utilization-trace round trip -----------------------------------------
@@ -390,7 +390,8 @@ TEST(DvfsReplay, PhasePatternEqualToBaseIsBitIdentical) {
   overridden.timeline =
       parse_timeline("constant(util=80%, dur=0.3, pattern=0)").timeline;
 
-  expect_identical(core::run_dvfs(baseline), core::run_dvfs(overridden));
+  expect_identical(core::run_scenario(baseline).dvfs(),
+                   core::run_scenario(overridden).dvfs());
 }
 
 TEST(DvfsReplay, SparsePhasePatternLowersPowerInItsPhase) {
@@ -409,7 +410,7 @@ TEST(DvfsReplay, SparsePhasePatternLowersPowerInItsPhase) {
           "constant(util=1, dur=0.2) | constant(util=1, dur=0.2, pattern=0)")
           .timeline;
 
-  const DvfsResult result = core::run_dvfs(config);
+  const DvfsResult result = core::run_scenario(config).dvfs();
   const auto& slices = result.trace.slices;
   ASSERT_GE(slices.size(), 40u);
   // Compare a slice well inside each phase (same P-state, same load).
@@ -431,7 +432,7 @@ TEST(DvfsReplay, PhasePatternsSeparateCacheKeysAndValidate) {
   DvfsConfig dangling = plain;
   dangling.timeline =
       parse_timeline("constant(util=1, dur=0.1, pattern=0)").timeline;
-  EXPECT_THROW((void)core::run_dvfs(dangling), std::invalid_argument);
+  EXPECT_THROW((void)core::run_scenario(dangling), std::invalid_argument);
 }
 
 // --- backlog / latency accounting -----------------------------------------
@@ -469,16 +470,16 @@ TEST(DvfsReplay, UtilizationGovernorSavesEnergyOnBurstyLoad) {
   config.timeline =
       parse_timeline("burst(period=0.2, duty=30%, high=1, low=20%, dur=2)")
           .timeline;
-  const DvfsResult governed = core::run_dvfs(config);
+  const DvfsResult governed = core::run_scenario(config).dvfs();
 
   DvfsConfig fixed_config = config;
   fixed_config.governor.policy = GovernorConfig::Policy::kFixed;
   fixed_config.governor.fixed_pstate = 0;
-  const DvfsResult fixed_max = core::run_dvfs(fixed_config);
+  const DvfsResult fixed_max = core::run_scenario(fixed_config).dvfs();
 
   DvfsConfig oracle_config = config;
   oracle_config.governor.policy = GovernorConfig::Policy::kOracle;
-  const DvfsResult oracle = core::run_dvfs(oracle_config);
+  const DvfsResult oracle = core::run_scenario(oracle_config).dvfs();
 
   EXPECT_LT(governed.energy_j, fixed_max.energy_j);
   EXPECT_LE(oracle.energy_j, governed.energy_j);

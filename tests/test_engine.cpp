@@ -45,23 +45,45 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.seeds, b.seeds);
 }
 
+/// The serial reference every engine result is pinned to.
+ExperimentResult serial(const ExperimentConfig& config) {
+  return run_scenario(config).static_result();
+}
+
+const ExperimentResult& result_of(const ScenarioHandle& handle) {
+  return handle.get().static_result();
+}
+
+/// Submits every point of a figure's sweep over `base`, in sweep order.
+std::vector<ScenarioHandle> submit_figure(ExperimentEngine& engine,
+                                          FigureId id,
+                                          const ExperimentConfig& base) {
+  std::vector<ScenarioHandle> handles;
+  for (const SweepPoint& point : figure_sweep(id)) {
+    ExperimentConfig config = base;
+    config.pattern = point.spec;
+    handles.push_back(engine.submit(config));
+  }
+  return handles;
+}
+
 // The acceptance criterion: a full-figure sweep through the engine with >=4
-// worker threads is bit-identical to the serial run_experiment path.
+// worker threads is bit-identical to the serial run_scenario path.
 TEST(ExperimentEngine, FullFigureSweepMatchesSerialBitwise) {
   ExperimentEngine engine(four_workers());
   ASSERT_GE(engine.workers(), 4);
 
   const ExperimentConfig base = small_config();
-  const SweepRun run = engine.submit_sweep(FigureId::kFig6aSparsity, base);
+  const auto handles =
+      submit_figure(engine, FigureId::kFig6aSparsity, base);
   engine.wait_all();
 
   const auto points = figure_sweep(FigureId::kFig6aSparsity);
-  ASSERT_EQ(run.points.size(), points.size());
+  ASSERT_EQ(handles.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     ExperimentConfig config = base;
     config.pattern = points[i].spec;
-    const ExperimentResult serial = run_experiment(config);
-    expect_identical(run.handles[i].get(), serial);
+    expect_identical(result_of(handles[i]), serial(config));
   }
 }
 
@@ -71,8 +93,7 @@ TEST(ExperimentEngine, ManySeedsMatchSerialBitwise) {
   ExperimentEngine engine(four_workers());
   ExperimentConfig config = small_config();
   config.seeds = 7;
-  const ExperimentResult parallel = engine.submit(config).get();
-  expect_identical(parallel, run_experiment(config));
+  expect_identical(result_of(engine.submit(config)), serial(config));
 }
 
 TEST(ExperimentEngine, WorkerCountDoesNotChangeResults) {
@@ -81,8 +102,8 @@ TEST(ExperimentEngine, WorkerCountDoesNotChangeResults) {
   ExperimentEngine serial_engine(one);
   ExperimentEngine parallel_engine(four_workers());
   const ExperimentConfig config = small_config();
-  expect_identical(serial_engine.submit(config).get(),
-                   parallel_engine.submit(config).get());
+  expect_identical(result_of(serial_engine.submit(config)),
+                   result_of(parallel_engine.submit(config)));
 }
 
 // The acceptance criterion: resubmitting the same sweep point reports a
@@ -91,29 +112,29 @@ TEST(ExperimentEngine, DuplicateSubmitHitsCache) {
   ExperimentEngine engine(four_workers());
   const ExperimentConfig config = small_config();
 
-  const ExperimentHandle first = engine.submit(config);
-  const ExperimentHandle second = engine.submit(config);
+  const ScenarioHandle first = engine.submit(config);
+  const ScenarioHandle second = engine.submit(config);
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.submitted, 2u);
   EXPECT_EQ(stats.jobs_computed, 1u);
   EXPECT_GE(stats.cache_hits, 1u);
-  expect_identical(first.get(), second.get());
+  expect_identical(result_of(first), result_of(second));
 }
 
 TEST(ExperimentEngine, DuplicatedSweepIsComputedOnce) {
   ExperimentEngine engine(four_workers());
   const ExperimentConfig base = small_config();
 
-  const SweepRun first = engine.submit_sweep(FigureId::kFig3cValueSet, base);
-  const SweepRun second = engine.submit_sweep(FigureId::kFig3cValueSet, base);
+  const auto first = submit_figure(engine, FigureId::kFig3cValueSet, base);
+  const auto second = submit_figure(engine, FigureId::kFig3cValueSet, base);
   engine.wait_all();
 
   const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.submitted, 2 * first.points.size());
-  EXPECT_EQ(stats.jobs_computed, first.points.size());
-  EXPECT_EQ(stats.cache_hits, second.points.size());
-  for (std::size_t i = 0; i < first.points.size(); ++i) {
-    expect_identical(first.handles[i].get(), second.handles[i].get());
+  EXPECT_EQ(stats.submitted, 2 * first.size());
+  EXPECT_EQ(stats.jobs_computed, first.size());
+  EXPECT_EQ(stats.cache_hits, second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    expect_identical(result_of(first[i]), result_of(second[i]));
   }
 }
 
@@ -140,73 +161,39 @@ TEST(ExperimentEngine, CacheCanBeDisabled) {
   options.cache_enabled = false;
   ExperimentEngine engine(options);
   const ExperimentConfig config = small_config();
-  const ExperimentHandle first = engine.submit(config);
-  const ExperimentHandle second = engine.submit(config);
+  const ScenarioHandle first = engine.submit(config);
+  const ScenarioHandle second = engine.submit(config);
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.jobs_computed, 2u);
   EXPECT_EQ(stats.cache_hits, 0u);
   // Still bit-identical: independent computations of the same config.
-  expect_identical(first.get(), second.get());
+  expect_identical(result_of(first), result_of(second));
 }
 
 TEST(ExperimentEngine, ClearCacheForcesRecompute) {
   ExperimentEngine engine(four_workers());
   const ExperimentConfig config = small_config();
-  const ExperimentHandle first = engine.submit(config);
+  const ScenarioHandle first = engine.submit(config);
   engine.clear_cache();
-  const ExperimentHandle second = engine.submit(config);
+  const ScenarioHandle second = engine.submit(config);
   EXPECT_EQ(engine.stats().jobs_computed, 2u);
-  expect_identical(first.get(), second.get());
+  expect_identical(result_of(first), result_of(second));
 }
 
 TEST(ExperimentEngine, WaitAllCompletesEverything) {
   ExperimentEngine engine(four_workers());
-  std::vector<ExperimentHandle> handles;
+  std::vector<ScenarioHandle> handles;
   for (const auto dtype : gpupower::numeric::kAllDTypes) {
     handles.push_back(engine.submit(small_config(dtype)));
   }
   engine.wait_all();
-  for (const auto& handle : handles) {
-    EXPECT_TRUE(handle.ready());
-    EXPECT_GT(handle.get().power_w, 0.0);
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    EXPECT_TRUE(handles[i].ready());
+    EXPECT_EQ(handles[i].config().static_config().dtype,
+              gpupower::numeric::kAllDTypes[i]);
+    EXPECT_GT(result_of(handles[i]).power_w, 0.0);
   }
   EXPECT_EQ(engine.stats().replicas_run, 4u * 2u);
-}
-
-TEST(ExperimentEngine, SubmitBatchPreservesOrder) {
-  ExperimentEngine engine(four_workers());
-  std::vector<ExperimentConfig> configs;
-  for (const auto dtype : gpupower::numeric::kAllDTypes) {
-    configs.push_back(small_config(dtype));
-  }
-  const auto handles = engine.submit_batch(configs);
-  ASSERT_EQ(handles.size(), configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    EXPECT_EQ(handles[i].config().dtype, configs[i].dtype);
-    expect_identical(handles[i].get(), run_experiment(configs[i]));
-  }
-}
-
-TEST(ExperimentEngine, SweepRunCollectPairsPointsWithResults) {
-  ExperimentEngine engine(four_workers());
-  const SweepRun run =
-      engine.submit_sweep(FigureId::kFig6aSparsity, small_config());
-  const auto entries = run.collect();
-  const auto points = figure_sweep(FigureId::kFig6aSparsity);
-  ASSERT_EQ(entries.size(), points.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(entries[i].point.label, points[i].label);
-    EXPECT_GT(entries[i].result.power_w, 0.0);
-  }
-}
-
-TEST(ExperimentEngine, SweepRunExportsJson) {
-  ExperimentEngine engine(four_workers());
-  const SweepRun run =
-      engine.submit_sweep(FigureId::kFig3cValueSet, small_config());
-  const std::string json = run.to_json().dump();
-  EXPECT_NE(json.find("\"figure\""), std::string::npos);
-  EXPECT_NE(json.find("series"), std::string::npos);
 }
 
 TEST(ExperimentEngine, RejectsZeroSeedConfig) {
@@ -221,29 +208,31 @@ TEST(ExperimentEngine, RejectsZeroSeedConfig) {
   engine.wait_all();  // nothing outstanding; must not hang
 }
 
-TEST(ExperimentHandle, InvalidHandleThrowsInsteadOfUB) {
-  // A default-constructed handle has no job; get()/ready()/config() used to
-  // dereference null.
-  ExperimentHandle handle;
+TEST(ScenarioHandle, InvalidHandleThrowsInsteadOfUB) {
+  // A default-constructed handle has no job; get()/ready()/config()/kind()
+  // must throw instead of dereferencing null.
+  ScenarioHandle handle;
   EXPECT_FALSE(handle.valid());
   EXPECT_THROW((void)handle.get(), std::logic_error);
   EXPECT_THROW((void)handle.ready(), std::logic_error);
   EXPECT_THROW((void)handle.config(), std::logic_error);
+  EXPECT_THROW((void)handle.kind(), std::logic_error);
 
   // A real handle stays valid after copies.
   ExperimentEngine engine(four_workers());
-  const ExperimentHandle live = engine.submit(small_config());
-  const ExperimentHandle copy = live;
+  const ScenarioHandle live = engine.submit(small_config());
+  const ScenarioHandle copy = live;
   engine.wait_all();
   EXPECT_TRUE(copy.valid());
   EXPECT_TRUE(copy.ready());
-  EXPECT_GT(copy.get().power_w, 0.0);
+  EXPECT_EQ(copy.kind(), ScenarioKind::kStatic);
+  EXPECT_GT(result_of(copy).power_w, 0.0);
 }
 
 TEST(ExperimentEngine, EngineOutlivesManySubmissions) {
   // Stress the queue with more jobs than workers to exercise interleaving.
   ExperimentEngine engine(four_workers());
-  std::vector<ExperimentHandle> handles;
+  std::vector<ScenarioHandle> handles;
   for (int i = 0; i < 12; ++i) {
     ExperimentConfig config = small_config();
     config.base_seed = static_cast<std::uint64_t>(i);

@@ -9,6 +9,7 @@
 
 #include "analysis/stats.hpp"
 #include "core/figures.hpp"
+#include "core/scenario.hpp"
 
 namespace gpupower::core {
 namespace {
@@ -34,17 +35,17 @@ TEST(Experiment, DefaultIterationsFollowPaper) {
 
 TEST(Experiment, DeterministicForSameConfig) {
   const auto config = small_config(gpupower::numeric::DType::kFP16);
-  const auto a = run_experiment(config);
-  const auto b = run_experiment(config);
+  const auto a = run_scenario(config).static_result();
+  const auto b = run_scenario(config).static_result();
   EXPECT_DOUBLE_EQ(a.power_w, b.power_w);
   EXPECT_DOUBLE_EQ(a.alignment, b.alignment);
 }
 
 TEST(Experiment, BaseSeedChangesInputsNotProtocol) {
   auto config = small_config(gpupower::numeric::DType::kFP16);
-  const auto a = run_experiment(config);
+  const auto a = run_scenario(config).static_result();
   config.base_seed = 1234;
-  const auto b = run_experiment(config);
+  const auto b = run_scenario(config).static_result();
   EXPECT_NE(a.power_w, b.power_w);        // different random inputs
   EXPECT_DOUBLE_EQ(a.iteration_s, b.iteration_s);  // runtime is shape-only
   // Same distribution: power within a few watts.
@@ -52,7 +53,9 @@ TEST(Experiment, BaseSeedChangesInputsNotProtocol) {
 }
 
 TEST(Experiment, ResultFieldsPopulated) {
-  const auto result = run_experiment(small_config(gpupower::numeric::DType::kFP16));
+  const auto result =
+      run_scenario(small_config(gpupower::numeric::DType::kFP16))
+          .static_result();
   EXPECT_GT(result.power_w, 0.0);
   EXPECT_GT(result.iteration_s, 0.0);
   EXPECT_GT(result.energy_per_iter_j, 0.0);
@@ -67,7 +70,7 @@ TEST(Experiment, ResultFieldsPopulated) {
 TEST(Experiment, EverySeedContributes) {
   auto config = small_config(gpupower::numeric::DType::kFP16);
   config.seeds = 6;
-  const auto result = run_experiment(config);
+  const auto result = run_scenario(config).static_result();
   EXPECT_EQ(result.seeds, 6);
   // With measurement noise and input variation, the across-seed standard
   // deviation is positive but small.
@@ -77,21 +80,21 @@ TEST(Experiment, EverySeedContributes) {
 
 TEST(Experiment, AllDtypesRun) {
   for (const auto dtype : gpupower::numeric::kAllDTypes) {
-    const auto result = run_experiment(small_config(dtype));
+    const auto result = run_scenario(small_config(dtype)).static_result();
     EXPECT_GT(result.power_w, 0.0) << gpupower::numeric::name(dtype);
   }
 }
 
 TEST(Experiment, ProcessVariationShiftsPower) {
   auto config = small_config(gpupower::numeric::DType::kFP16);
-  const auto base = run_experiment(config);
+  const auto base = run_scenario(config).static_result();
   config.variation = gpupower::gpusim::ProcessVariation{0.05, 7};
-  const auto varied = run_experiment(config);
+  const auto varied = run_scenario(config).static_result();
   EXPECT_NE(base.power_w, varied.power_w);
   // Section III: instance-to-instance shifts of up to ~10 W.
   EXPECT_NEAR(base.power_w, varied.power_w, 15.0);
   // Same instance is reproducible.
-  const auto again = run_experiment(config);
+  const auto again = run_scenario(config).static_result();
   EXPECT_DOUBLE_EQ(varied.power_w, again.power_w);
 }
 
@@ -140,7 +143,7 @@ TEST(Experiment, VariationReportsSeedAveragesNotLastSeed) {
   ASSERT_TRUE(distinct_energy)
       << "seeds should produce distinct per-iteration energies";
 
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_scenario(config).static_result();
   EXPECT_DOUBLE_EQ(result.energy_per_iter_j, energy.mean());
   EXPECT_DOUBLE_EQ(result.iteration_s, iter.mean());
   EXPECT_DOUBLE_EQ(result.clock_frac, clock.mean());
@@ -161,7 +164,7 @@ TEST(Experiment, PerSeedVariationLandsSeedsOnDistinctGpus) {
     ASSERT_TRUE(options.variation.has_value());
     EXPECT_EQ(options.variation->instance, variation.instance);
   }
-  const ExperimentResult shared = run_experiment(config);
+  const ExperimentResult shared = run_scenario(config).static_result();
 
   // Flag on: each seed derives its own instance — distinct from the base
   // and from every other seed (the paper's VM-relanding study).
@@ -180,7 +183,7 @@ TEST(Experiment, PerSeedVariationLandsSeedsOnDistinctGpus) {
 
   // Distinct simulated GPUs shift each replica's energy scale, so the
   // across-seed spread widens relative to the shared-instance run.
-  const ExperimentResult per_seed = run_experiment(config);
+  const ExperimentResult per_seed = run_scenario(config).static_result();
   EXPECT_NE(per_seed.power_w, shared.power_w);
   EXPECT_GT(per_seed.power_std_w, shared.power_std_w);
 }
@@ -188,17 +191,17 @@ TEST(Experiment, PerSeedVariationLandsSeedsOnDistinctGpus) {
 TEST(Experiment, RejectsNonPositiveSeeds) {
   auto config = small_config(gpupower::numeric::DType::kFP16);
   config.seeds = 0;
-  EXPECT_THROW((void)run_experiment(config), std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(config), std::invalid_argument);
   config.seeds = -2;
-  EXPECT_THROW((void)run_experiment(config), std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(config), std::invalid_argument);
 }
 
 TEST(Experiment, SampledConfigTracksExact) {
   auto config = small_config(gpupower::numeric::DType::kFP16);
   config.n = 192;
-  const auto exact = run_experiment(config);
+  const auto exact = run_scenario(config).static_result();
   config.sampling = gpupower::gpusim::SamplingPlan::fast(8, 0.5);
-  const auto sampled = run_experiment(config);
+  const auto sampled = run_scenario(config).static_result();
   EXPECT_NEAR(sampled.power_w, exact.power_w, 0.05 * exact.power_w);
 }
 

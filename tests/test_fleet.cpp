@@ -1,8 +1,8 @@
 // Fleet power-capping suite: allocator conservation (sum of grants <= cap
 // on every slice), the RC thermal model (heat-up/cool-down monotonicity,
 // throttle hysteresis without flapping), the single-device equivalence
-// guarantee (fleet of one, infinite cap, thermal off == submit_dvfs bit
-// for bit), determinism through the engine at different worker counts, and
+// guarantee (fleet of one, infinite cap, thermal off == the dvfs scenario
+// bit for bit), determinism through the engine at different worker counts, and
 // the capped-fleet behaviours the fig_fleet_capping bench sweeps.
 #include "gpusim/fleet/fleet.hpp"
 
@@ -17,6 +17,7 @@
 #include "core/engine.hpp"
 #include "core/env.hpp"
 #include "core/fleet_experiment.hpp"
+#include "core/report.hpp"
 #include "gpusim/fleet/allocator.hpp"
 #include "gpusim/fleet/thermal.hpp"
 #include "gpusim/simulator.hpp"
@@ -249,8 +250,8 @@ TEST(Fleet, SingleDeviceInfiniteCapThermalOffMatchesDvfsBitForBit) {
   const DvfsConfig dvfs_config = small_dvfs_config();
   const FleetConfig fleet_config = fleet_of_one(dvfs_config);
 
-  const core::DvfsResult dvfs_result = core::run_dvfs(dvfs_config);
-  const FleetResult fleet_result = core::run_fleet(fleet_config);
+  const core::DvfsResult dvfs_result = core::run_scenario(dvfs_config).dvfs();
+  const FleetResult fleet_result = core::run_scenario(fleet_config).fleet();
 
   EXPECT_EQ(fleet_result.energy_j, dvfs_result.energy_j);
   EXPECT_EQ(fleet_result.energy_std_j, dvfs_result.energy_std_j);
@@ -266,16 +267,18 @@ TEST(Fleet, SingleDeviceInfiniteCapThermalOffMatchesDvfsBitForBit) {
   EXPECT_TRUE(fleet_result.trace.devices[0].budget_w.empty());
 }
 
-TEST(Fleet, EngineSubmitFleetMatchesSubmitDvfsInTheDegenerateCase) {
+TEST(Fleet, EngineFleetMatchesDvfsInTheDegenerateCase) {
   const DvfsConfig dvfs_config = small_dvfs_config();
   core::ExperimentEngine engine(core::EngineOptions::with_workers(2));
-  const core::DvfsHandle dvfs_handle = engine.submit_dvfs(dvfs_config);
-  const core::FleetHandle fleet_handle =
-      engine.submit_fleet(fleet_of_one(dvfs_config));
+  const core::ScenarioHandle dvfs_handle = engine.submit(dvfs_config);
+  const core::ScenarioHandle fleet_handle =
+      engine.submit(fleet_of_one(dvfs_config));
   engine.wait_all();
-  EXPECT_EQ(fleet_handle.get().energy_j, dvfs_handle.get().energy_j);
-  expect_identical_replays(fleet_handle.get().trace.devices[0].replay,
-                           dvfs_handle.get().trace);
+  const FleetResult& fleet_result = fleet_handle.get().fleet();
+  const core::DvfsResult& dvfs_result = dvfs_handle.get().dvfs();
+  EXPECT_EQ(fleet_result.energy_j, dvfs_result.energy_j);
+  expect_identical_replays(fleet_result.trace.devices[0].replay,
+                           dvfs_result.trace);
 }
 
 // --- determinism through the engine ---------------------------------------
@@ -285,7 +288,7 @@ TEST(Fleet, EngineReplayIsDeterministicAcrossWorkerCounts) {
   config.allocator.policy = AllocatorConfig::Policy::kProportional;
   config.allocator.cap_w = 300.0;
   config.thermal = test_thermal();
-  const FleetResult serial = core::run_fleet(config);
+  const FleetResult serial = core::run_scenario(config).fleet();
 
   std::vector<int> worker_counts{1, 4};
   if (const int workers = core::read_bench_env().workers; workers >= 1) {
@@ -295,7 +298,8 @@ TEST(Fleet, EngineReplayIsDeterministicAcrossWorkerCounts) {
     core::EngineOptions options;
     options.workers = workers;
     core::ExperimentEngine engine(options);
-    const FleetResult& parallel = engine.submit_fleet(config).get();
+    const core::ScenarioHandle handle = engine.submit(config);
+    const FleetResult& parallel = handle.get().fleet();
     EXPECT_EQ(serial.energy_j, parallel.energy_j);
     EXPECT_EQ(serial.energy_std_j, parallel.energy_std_j);
     EXPECT_EQ(serial.completion_s, parallel.completion_s);
@@ -323,18 +327,18 @@ TEST(Fleet, EngineCachesIdenticalSubmissionsAndSeparatesAllocators) {
   core::ExperimentEngine engine(core::EngineOptions::with_workers(2));
   FleetConfig config = small_fleet_config();
   config.allocator.cap_w = 250.0;
-  const core::FleetHandle first = engine.submit_fleet(config);
-  const core::FleetHandle second = engine.submit_fleet(config);
+  const core::ScenarioHandle first = engine.submit(config);
+  const core::ScenarioHandle second = engine.submit(config);
   engine.wait_all();
   EXPECT_EQ(engine.stats().cache_hits, 1u);
   EXPECT_EQ(&first.get(), &second.get());
 
   FleetConfig uniform = config;
   uniform.allocator.policy = AllocatorConfig::Policy::kUniform;
-  (void)engine.submit_fleet(uniform);
+  (void)engine.submit(uniform);
   FleetConfig hotter = config;
   hotter.thermal = test_thermal();
-  (void)engine.submit_fleet(hotter);
+  (void)engine.submit(hotter);
   engine.wait_all();
   EXPECT_EQ(engine.stats().jobs_computed, 3u);
 }
@@ -345,7 +349,7 @@ TEST(Fleet, GrantedBudgetsRespectTheCapOnEverySlice) {
   FleetConfig config = small_fleet_config(4);
   config.allocator.policy = AllocatorConfig::Policy::kGreedyOracle;
   config.allocator.cap_w = 260.0;
-  const FleetResult result = core::run_fleet(config);
+  const FleetResult result = core::run_scenario(config).fleet();
 
   // Reconstruct per-slice budget sums from the seed-0 trace: devices end
   // at different times, so walk to the longest series.
@@ -367,7 +371,7 @@ TEST(Fleet, GrantedBudgetsRespectTheCapOnEverySlice) {
 
 TEST(Fleet, TightCapForcesDeeperStatesAndBacklog) {
   FleetConfig config = small_fleet_config(4);
-  const FleetResult uncapped = core::run_fleet(config);
+  const FleetResult uncapped = core::run_scenario(config).fleet();
 
   FleetConfig capped = config;
   capped.allocator.policy = AllocatorConfig::Policy::kUniform;
@@ -377,7 +381,7 @@ TEST(Fleet, TightCapForcesDeeperStatesAndBacklog) {
       0.5 * (uncapped.peak_power_w +
              4.0 * device(config.devices[0].gpu).idle_w);
   ASSERT_LT(capped.allocator.cap_w, uncapped.peak_power_w);
-  const FleetResult result = core::run_fleet(capped);
+  const FleetResult result = core::run_scenario(capped).fleet();
 
   EXPECT_LE(result.peak_power_w,
             capped.allocator.cap_w * (1.0 + 1e-9));
@@ -397,12 +401,12 @@ TEST(Fleet, P99BacklogIsAFleetQuantileBelowTheMax) {
   // whenever the distribution has a tail.
   FleetConfig config = small_fleet_config(4);
   config.allocator.policy = AllocatorConfig::Policy::kUniform;
-  const FleetResult uncapped = core::run_fleet(config);
+  const FleetResult uncapped = core::run_scenario(config).fleet();
   FleetConfig capped = config;
   capped.allocator.cap_w =
       0.5 * (uncapped.peak_power_w +
              4.0 * device(config.devices[0].gpu).idle_w);
-  const FleetResult result = core::run_fleet(capped);
+  const FleetResult result = core::run_scenario(capped).fleet();
 
   EXPECT_GT(result.backlog_p99_s, 0.0);
   EXPECT_LE(result.backlog_p99_s, result.backlog_max_s + 1e-12);
@@ -430,7 +434,7 @@ TEST(Fleet, DemandAwareAllocationBeatsUniformOnBacklog) {
     config.timelines.push_back(timeline);
     config.devices[static_cast<std::size_t>(i)].timeline = i;
   }
-  const FleetResult uncapped = core::run_fleet(config);
+  const FleetResult uncapped = core::run_scenario(config).fleet();
 
   FleetConfig uniform = config;
   uniform.allocator.policy = AllocatorConfig::Policy::kUniform;
@@ -440,8 +444,9 @@ TEST(Fleet, DemandAwareAllocationBeatsUniformOnBacklog) {
   FleetConfig proportional = uniform;
   proportional.allocator.policy = AllocatorConfig::Policy::kProportional;
 
-  const FleetResult uniform_result = core::run_fleet(uniform);
-  const FleetResult proportional_result = core::run_fleet(proportional);
+  const FleetResult uniform_result = core::run_scenario(uniform).fleet();
+  const FleetResult proportional_result =
+      core::run_scenario(proportional).fleet();
   EXPECT_LT(proportional_result.backlog_max_s,
             uniform_result.backlog_max_s);
   EXPECT_LE(proportional_result.completion_s,
@@ -462,7 +467,7 @@ TEST(Fleet, ThermalStateThreadsAcrossSlicesAndThrottlesWhenHot) {
   config.thermal.trip_c = 60.0;
   config.thermal.release_c = 45.0;
   config.thermal.tau_s = 0.2;  // fast RC so the test sees both regimes
-  const FleetResult result = core::run_fleet(config);
+  const FleetResult result = core::run_scenario(config).fleet();
 
   ASSERT_EQ(result.trace.devices.size(), 1u);
   const FleetDeviceRun& device = result.trace.devices[0];
@@ -493,7 +498,7 @@ TEST(Fleet, SustainedLoadHeatsTheDieMonotonically) {
   config.thermal = test_thermal();
   config.thermal.trip_c = 200.0;  // never throttles; pure heat-up
   config.thermal.release_c = 190.0;
-  const FleetResult result = core::run_fleet(config);
+  const FleetResult result = core::run_scenario(config).fleet();
 
   const std::vector<double>& temps =
       result.trace.devices[0].temperature_c;
@@ -510,24 +515,24 @@ TEST(Fleet, RejectsDegenerateConfigs) {
   core::ExperimentEngine engine(core::EngineOptions::with_workers(1));
   FleetConfig config = small_fleet_config();
   config.experiment.seeds = 0;
-  EXPECT_THROW((void)engine.submit_fleet(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
 
   config = small_fleet_config();
   config.devices.clear();
-  EXPECT_THROW((void)engine.submit_fleet(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
 
   config = small_fleet_config();
   config.devices[0].timeline = 7;
-  EXPECT_THROW((void)engine.submit_fleet(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
 
   config = small_fleet_config();
   config.thermal = test_thermal();
   config.thermal.release_c = config.thermal.trip_c;  // no hysteresis band
-  EXPECT_THROW((void)engine.submit_fleet(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
 
   config = small_fleet_config();
   config.allocator.cap_w = 0.0;
-  EXPECT_THROW((void)engine.submit_fleet(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
 }
 
 TEST(Fleet, BuilderAssemblesAndValidates) {
@@ -551,7 +556,7 @@ TEST(Fleet, BuilderAssemblesAndValidates) {
   EXPECT_DOUBLE_EQ(config.allocator.cap_w, 400.0);
 
   // Heterogeneous fleets run: the two models draw different power.
-  const FleetResult result = core::run_fleet(config);
+  const FleetResult result = core::run_scenario(config).fleet();
   ASSERT_EQ(result.devices.size(), 2u);
   EXPECT_NE(result.devices[0].energy_j, result.devices[1].energy_j);
 

@@ -6,6 +6,7 @@
 
 #include "core/figures.hpp"
 #include "core/report.hpp"
+#include "core/scenario.hpp"
 
 namespace gpupower::analysis {
 namespace {
@@ -63,7 +64,7 @@ TEST(Report, ExperimentToJsonCarriesEverything) {
   config.n = 128;
   config.seeds = 1;
   config.pattern = gpupower::core::baseline_gaussian_spec();
-  const auto result = gpupower::core::run_experiment(config);
+  const auto result = gpupower::core::run_scenario(config).static_result();
   const std::string json = gpupower::core::to_json(config, result).dump();
   EXPECT_NE(json.find("\"gpu\":\"NVIDIA A100 PCIe 40GB\""), std::string::npos);
   EXPECT_NE(json.find("\"dtype\":\"FP16\""), std::string::npos);
@@ -71,28 +72,6 @@ TEST(Report, ExperimentToJsonCarriesEverything) {
   EXPECT_NE(json.find("\"power_w\":"), std::string::npos);
   EXPECT_NE(json.find("\"rails\":"), std::string::npos);
   EXPECT_NE(json.find("\"protocol\":"), std::string::npos);
-}
-
-TEST(Report, SweepToJsonShapesSeries) {
-  using gpupower::core::FigureId;
-  gpupower::core::ExperimentConfig base;
-  base.dtype = gpupower::numeric::DType::kFP16;
-  base.n = 128;
-  base.seeds = 1;
-  const auto sweep =
-      gpupower::core::figure_sweep(FigureId::kFig6aSparsity);
-  std::vector<gpupower::core::SweepEntry> entries;
-  for (std::size_t i = 0; i < 2; ++i) {
-    gpupower::core::ExperimentConfig config = base;
-    config.pattern = sweep[i].spec;
-    entries.push_back({sweep[i], gpupower::core::run_experiment(config)});
-  }
-  const std::string json =
-      gpupower::core::sweep_to_json(FigureId::kFig6aSparsity, base, entries)
-          .dump();
-  EXPECT_NE(json.find("\"figure\":\"fig6a\""), std::string::npos);
-  EXPECT_NE(json.find("\"series\":["), std::string::npos);
-  EXPECT_NE(json.find("\"label\":\"0%\""), std::string::npos);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "core/experiment.hpp"
 #include "core/figures.hpp"
+#include "core/scenario.hpp"
 #include "patterns/distributions.hpp"
 
 namespace gpupower::core {
@@ -96,7 +97,7 @@ TEST(PowerModel, PredictsSimulatedPowerAcrossPatterns) {
       config.n = n;
       config.seeds = 1;
       config.pattern = point.spec;
-      const auto result = run_experiment(config);
+      const auto result = run_scenario(config).static_result();
       const auto inputs =
           build_inputs<float16_t>(point.spec, DType::kFP16, n, 42);
       PowerSample s;

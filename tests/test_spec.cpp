@@ -4,10 +4,8 @@
 //  - malformed specs fail with pointed errors naming the offending key;
 //  - campaign grids expand the cross product and patch arbitrary dotted
 //    fields;
-//  - the acceptance equivalences: a fleet-of-one, uncapped, thermal-off
-//    spec through submit(ScenarioConfig) is bit-identical to submit_dvfs,
-//    and a campaign covering a figure sweep is bit-identical to
-//    submit_sweep (shared engine cache pins key identity);
+//  - engine submits of every kind are bit-identical to the serial
+//    run_scenario reference;
 //  - EngineStats breaks the counters down by scenario kind.
 #include "core/spec.hpp"
 
@@ -19,7 +17,6 @@
 
 #include "core/config_builder.hpp"
 #include "core/engine.hpp"
-#include "core/figures.hpp"
 #include "core/scenario.hpp"
 
 namespace gpupower::core {
@@ -158,6 +155,53 @@ TEST(Spec, MissingTimelineFails) {
   EXPECT_NE(parsed.error.find("timeline"), std::string::npos) << parsed.error;
 }
 
+// Integer fields read into an `int` must be range-checked before the
+// narrowing cast: 2^32 + 1 seeds used to wrap silently to 1 seed.
+TEST(Spec, OutOfRangeIntegersFailNamingTheKey) {
+  const std::string big = "4294967297";  // 2^32 + 1
+  const std::string dvfs =
+      R"json({"scenario": "dvfs", "timeline": "idle(dur=0.1)", )json";
+  const std::string fleet =
+      R"json({"scenario": "fleet", "timelines": ["idle(dur=0.1)"], )json";
+  // {key the error must name, spec text before the value, text after it}
+  const struct {
+    const char* key;
+    std::string head;
+    const char* tail;
+  } cases[] = {
+      {"experiment.seeds",
+       R"json({"scenario": "static", "experiment": {"seeds": )json", "}}"},
+      {"pstates", dvfs + R"json("pstates": )json", "}"},
+      {"governor.fixed_pstate",
+       dvfs + R"json("governor": {"fixed_pstate": )json", "}}"},
+      {"pstates", fleet + R"json("devices": [{}], "pstates": )json", "}"},
+      {"thermal.throttle_pstate",
+       fleet + R"json("devices": [{}], "thermal": {"throttle_pstate": )json",
+       "}}"},
+      {"devices[0].timeline", fleet + R"json("devices": [{"timeline": )json",
+       "}]}"},
+      {"devices[0].priority", fleet + R"json("devices": [{"priority": -)json",
+       "}]}"},
+      {"staggered.count",
+       R"json({"scenario": "fleet", "staggered": {"timeline": "idle(dur=0.1)",
+               "count": )json",
+       "}}"},
+  };
+  for (const auto& c : cases) {
+    const std::string spec = c.head + big + c.tail;
+    const SpecParseResult parsed = parse_scenario_spec_text(spec);
+    ASSERT_FALSE(parsed.ok) << spec;
+    EXPECT_NE(parsed.error.find(c.key), std::string::npos) << parsed.error;
+    EXPECT_NE(parsed.error.find("out of range"), std::string::npos)
+        << parsed.error;
+  }
+  // 2^32 used to wrap to 0 and fail with a misleading "seeds=0" message.
+  const SpecParseResult zero = parse_scenario_spec_text(
+      R"json({"scenario": "static", "experiment": {"seeds": 4294967296}})json");
+  ASSERT_FALSE(zero.ok);
+  EXPECT_NE(zero.error.find("4294967296"), std::string::npos) << zero.error;
+}
+
 TEST(Spec, MalformedJsonReportsByteOffset) {
   const SpecParseResult parsed =
       parse_scenario_spec_text(R"json({"scenario": "static",})json");
@@ -257,37 +301,19 @@ TEST(Spec, CampaignPatchCreatesMissingIntermediateObjects) {
 
 // --- scenario submission equivalences --------------------------------------
 
-void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_DOUBLE_EQ(a.power_w, b.power_w);
-  EXPECT_DOUBLE_EQ(a.power_std_w, b.power_std_w);
-  EXPECT_DOUBLE_EQ(a.iteration_s, b.iteration_s);
-  EXPECT_DOUBLE_EQ(a.energy_per_iter_j, b.energy_per_iter_j);
-  EXPECT_DOUBLE_EQ(a.alignment, b.alignment);
-  EXPECT_DOUBLE_EQ(a.weight_fraction, b.weight_fraction);
-  EXPECT_EQ(a.throttled, b.throttled);
-  EXPECT_DOUBLE_EQ(a.clock_frac, b.clock_frac);
-  EXPECT_EQ(a.seeds, b.seeds);
-}
-
-TEST(Scenario, TypeErasedSubmitMatchesSerialReference) {
+TEST(Scenario, EngineMatchesRunScenarioForEveryKind) {
   ExperimentEngine engine(EngineOptions::with_workers(4));
-  const ExperimentConfig config = small_experiment();
-  const ScenarioHandle handle = engine.submit(ScenarioConfig(config));
-  EXPECT_EQ(handle.kind(), ScenarioKind::kStatic);
-  expect_identical(handle.get().static_result(), run_experiment(config));
-}
-
-TEST(Scenario, TypedAndTypeErasedSubmitsShareOneJob) {
-  ExperimentEngine engine(EngineOptions::with_workers(4));
-  const ExperimentConfig config = small_experiment();
-  const ExperimentHandle typed = engine.submit(config);
-  const ScenarioHandle erased = engine.submit(ScenarioConfig(config));
-  engine.wait_all();
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.jobs_computed, 1u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  expect_identical(typed.get(), erased.get().static_result());
+  for (const ScenarioConfig& config :
+       {ScenarioConfig(small_experiment()), ScenarioConfig(small_dvfs()),
+        ScenarioConfig(small_fleet())}) {
+    const ScenarioHandle handle = engine.submit(config);
+    EXPECT_EQ(handle.kind(), config.kind());
+    // The store codec serialises every field at round-trip precision, so
+    // equal dumps mean bit-identical results, traces included.
+    EXPECT_EQ(scenario_result_to_json(handle.get()).dump(),
+              scenario_result_to_json(run_scenario(config)).dump())
+        << name(config.kind());
+  }
 }
 
 TEST(Scenario, SubmitRejectsInvalidConfigsViaRegistry) {
@@ -303,103 +329,15 @@ TEST(Scenario, SubmitRejectsInvalidConfigsViaRegistry) {
   engine.wait_all();  // nothing outstanding; must not hang
 }
 
-// The acceptance criterion: a fleet of one device, uncapped, thermal off,
-// authored as a JSON spec and run through submit(ScenarioConfig), is
-// bit-identical to the pre-redesign submit_dvfs path.
-TEST(Scenario, FleetOfOneSpecMatchesSubmitDvfsBitwise) {
-  const SpecParseResult parsed = parse_scenario_spec_text(R"json({
-    "scenario": "fleet",
-    "experiment": {
-      "gpu": "a100", "dtype": "fp16", "n": 64, "seeds": 2,
-      "pattern": "gaussian(sigma=210) | sparsity(25%)",
-      "sampling": {"tiles": 6, "k_fraction": 0.5}
-    },
-    "timelines": ["burst(period=0.2, duty=30%, high=100%, low=5%, dur=0.5)"],
-    "devices": [{"gpu": "a100", "governor": "utilization(up=80%, down=30%)"}],
-    "cap_w": null,
-    "slice_s": 0.01,
-    "pstates": 5
-  })json");
-  ASSERT_TRUE(parsed.ok) << parsed.error;
-  ASSERT_EQ(parsed.spec.config.kind(), ScenarioKind::kFleet);
-
-  ExperimentEngine engine(EngineOptions::with_workers(4));
-  const ScenarioHandle fleet_handle = engine.submit(parsed.spec.config);
-  const DvfsHandle dvfs_handle = engine.submit_dvfs(small_dvfs());
-  engine.wait_all();
-
-  const FleetResult& fleet = fleet_handle.get().fleet();
-  const DvfsResult& dvfs = dvfs_handle.get();
-  EXPECT_DOUBLE_EQ(fleet.energy_j, dvfs.energy_j);
-  EXPECT_DOUBLE_EQ(fleet.energy_std_j, dvfs.energy_std_j);
-  EXPECT_DOUBLE_EQ(fleet.avg_power_w, dvfs.avg_power_w);
-  EXPECT_DOUBLE_EQ(fleet.peak_power_w, dvfs.peak_power_w);
-  EXPECT_DOUBLE_EQ(fleet.completion_s, dvfs.completion_s);
-  EXPECT_DOUBLE_EQ(fleet.backlog_max_s, dvfs.backlog_max_s);
-  EXPECT_DOUBLE_EQ(fleet.mean_backlog_s, dvfs.mean_backlog_s);
-  EXPECT_DOUBLE_EQ(fleet.transitions, dvfs.transitions);
-  // Slice-level trace identity of the representative seed.
-  ASSERT_EQ(fleet.trace.devices.size(), 1u);
-  const auto& fleet_slices = fleet.trace.devices[0].replay.slices;
-  const auto& dvfs_slices = dvfs.trace.slices;
-  ASSERT_EQ(fleet_slices.size(), dvfs_slices.size());
-  for (std::size_t i = 0; i < fleet_slices.size(); ++i) {
-    EXPECT_DOUBLE_EQ(fleet_slices[i].power_w, dvfs_slices[i].power_w);
-    EXPECT_EQ(fleet_slices[i].pstate, dvfs_slices[i].pstate);
-    EXPECT_DOUBLE_EQ(fleet_slices[i].backlog_s, dvfs_slices[i].backlog_s);
-  }
-  // A fleet of one: the p99-across-devices SLO metric equals the max.
-  EXPECT_DOUBLE_EQ(fleet.backlog_p99_s, fleet.backlog_max_s);
-}
-
-// The acceptance criterion: a campaign spec covering an existing figure
-// sweep is bit-identical to submit_sweep — pinned through the shared
-// engine cache (identical canonical keys mean the campaign's submissions
-// all attach to the sweep's jobs).
-TEST(Scenario, CampaignFigureSweepMatchesSubmitSweepBitwise) {
-  ExperimentEngine engine(EngineOptions::with_workers(4));
-  ExperimentConfig base = small_experiment();
-  base.pattern = baseline_gaussian_spec();
-  const SweepRun sweep = engine.submit_sweep(FigureId::kFig6aSparsity, base);
-
-  const std::string base_spec =
-      spec_to_json(ScenarioConfig(base)).dump(/*pretty=*/false);
-  const SpecParseResult parsed = parse_scenario_spec_text(
-      std::string(R"json({"scenario": "campaign", "base": )json") +
-      base_spec +
-      R"json(, "axes": [{"field": "experiment.pattern", "figure": "fig6a"}]})json");
-  ASSERT_TRUE(parsed.ok) << parsed.error;
-  std::vector<CampaignPoint> points;
-  std::string error;
-  ASSERT_TRUE(expand_campaign(parsed.spec, points, error)) << error;
-  ASSERT_EQ(points.size(), sweep.points.size());
-
-  std::vector<ScenarioHandle> handles;
-  for (const CampaignPoint& point : points) {
-    handles.push_back(engine.submit(point.config));
-  }
-  engine.wait_all();
-
-  const EngineStats stats = engine.stats();
-  // Every campaign point attached to the sweep's cached job: key identity.
-  EXPECT_EQ(stats.cache_hits, points.size());
-  EXPECT_EQ(stats.jobs_computed, sweep.points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(points[i].label, sweep.points[i].label);
-    expect_identical(handles[i].get().static_result(),
-                     sweep.handles[i].get());
-  }
-}
-
 // --- per-kind engine stats --------------------------------------------------
 
 TEST(Engine, StatsBreakDownByScenarioKind) {
   ExperimentEngine engine(EngineOptions::with_workers(4));
   (void)engine.submit(small_experiment());
-  (void)engine.submit_dvfs(small_dvfs());
+  (void)engine.submit(small_dvfs());
   FleetConfig fleet = small_fleet();
   fleet.experiment.seeds = 3;
-  (void)engine.submit_fleet(fleet);
+  (void)engine.submit(fleet);
   engine.wait_all();
 
   const EngineStats stats = engine.stats();
@@ -444,14 +382,6 @@ TEST(Scenario, AccessorsThrowOnKindMismatch) {
   const ScenarioResult empty;
   EXPECT_FALSE(empty.valid());
   EXPECT_THROW((void)empty.static_result(), std::logic_error);
-}
-
-TEST(Scenario, RunScenarioMatchesSerialReference) {
-  const DvfsConfig config = small_dvfs();
-  const ScenarioResult result = run_scenario(ScenarioConfig(config));
-  const DvfsResult serial = run_dvfs(config);
-  EXPECT_DOUBLE_EQ(result.dvfs().energy_j, serial.energy_j);
-  EXPECT_DOUBLE_EQ(result.dvfs().completion_s, serial.completion_s);
 }
 
 }  // namespace

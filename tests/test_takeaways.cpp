@@ -6,6 +6,7 @@
 
 #include "core/experiment.hpp"
 #include "core/figures.hpp"
+#include "core/scenario.hpp"
 
 namespace gpupower::core {
 namespace {
@@ -21,7 +22,7 @@ double power_of(const PatternSpec& spec, DType dtype, std::size_t n = kN) {
   config.seeds = 3;
   config.pattern = spec;
   config.sampler.noise_sigma_w = 0.0;  // directional checks want no noise
-  return run_experiment(config).power_w;
+  return run_scenario(config).static_result().power_w;
 }
 
 TEST(Takeaways, T1_StddevDoesNotSignificantlyChangePower) {
@@ -116,14 +117,14 @@ TEST(Takeaways, T7_Fp16TensorIsMostPowerHungry) {
   double fp16t = 0.0;
   for (const DType dtype : gpupower::numeric::kAllDTypes) {
     config.dtype = dtype;
-    const double p = run_experiment(config).power_w;
+    const double p = run_scenario(config).static_result().power_w;
     if (dtype == DType::kFP16T) {
       fp16t = p;
     }
   }
   for (const DType dtype : {DType::kFP32, DType::kFP16, DType::kINT8}) {
     config.dtype = dtype;
-    EXPECT_LT(run_experiment(config).power_w, fp16t)
+    EXPECT_LT(run_scenario(config).static_result().power_w, fp16t)
         << gpupower::numeric::name(dtype);
   }
 }
@@ -246,9 +247,9 @@ TEST(Takeaways, Fig1_RuntimeIsInputIndependent) {
   config.n = kN;
   config.seeds = 1;
   config.pattern = baseline_gaussian_spec();
-  const double t_random = run_experiment(config).iteration_s;
+  const double t_random = run_scenario(config).static_result().iteration_s;
   config.pattern.sparsity = 1.0;
-  const double t_zero = run_experiment(config).iteration_s;
+  const double t_zero = run_scenario(config).static_result().iteration_s;
   EXPECT_DOUBLE_EQ(t_random, t_zero);
 }
 
@@ -264,7 +265,7 @@ TEST(Takeaways, Fig8_AlignmentAndWeightCorrelateWithPower) {
       config.n = kN;
       config.seeds = 1;
       config.pattern = point.spec;
-      const auto result = run_experiment(config);
+      const auto result = run_scenario(config).static_result();
       alignment.push_back(result.alignment);
       weight.push_back(result.weight_fraction);
       power.push_back(result.power_w);

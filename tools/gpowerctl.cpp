@@ -6,30 +6,20 @@
 //   gpowerctl dmon --gpu 0 --dtype fp16t --pattern "gaussian(sigma=210)"
 //       run one experiment and stream DCGM-style 100 ms power samples,
 //       then print the trimmed-average summary
-//   gpowerctl sweep --figure fig5b [--gpu 0] [--dtype fp16] [--csv]
-//       regenerate one paper figure series
 //   gpowerctl features --dtype fp16 --pattern "<dsl>"
 //       print the input statistics the power model consumes
 //   gpowerctl predict --dtype fp16 --pattern "<dsl>"
 //       train the input-dependent power model on the figure sweeps and
 //       predict the pattern's power without a kernel walk
-//   gpowerctl dvfs --dtype fp16t --timeline "burst(period=0.2, duty=30%)"
-//       [--governor "utilization(up=80%, down=30%)"]
-//       replay a workload timeline through the P-state machine and print
-//       the time-resolved power/clock trace plus the energy/latency summary
-//       against the fixed-max-clock and oracle baselines
-//   gpowerctl fleet --devices 4 --cap 900 --allocator proportional
-//       [--thermal on]
-//       fan the timeline across N simulated devices (phase-shifted per
-//       device) under a shared power cap and print per-device and
-//       fleet-aggregate energy/backlog/temperature, against the uncapped
-//       fleet baseline
 //   gpowerctl validate <spec.json>
 //       parse a declarative scenario spec (core/spec.hpp) and report what
 //       it would run — campaign grids are expanded and every point checked
 //   gpowerctl run <spec.json> [--json] [--bench-out FILE]
 //       execute a spec: one scenario, or a whole campaign grid fanned
-//       through the engine as one deduplicated batch
+//       through the engine as one deduplicated batch.  Figure sweeps, DVFS
+//       governor comparisons and power-capped fleets are specs too — see
+//       examples/specs/ (figure_sweep.json, dvfs_baselines.json,
+//       fleet_capping.json)
 //   gpowerctl serve [--socket PATH] [--full]
 //       long-lived mode: read newline-delimited spec JSON from stdin (or
 //       accept concurrent clients on a Unix socket) and stream one NDJSON
@@ -46,19 +36,16 @@
 // every replica computation (GPUPOWER_STORE=off disables it without
 // unsetting the directory).
 //
-// The dvfs/fleet verbs are spec-building shims: the flags assemble a spec
-// document (printable with --emit-spec for migration), which is parsed
-// back and submitted through the same type-erased path `run` uses.
-//
 // Common options: --n SIZE, --seeds K, --tiles T, --kfrac F, --workers W
-// (same meaning as the GPUPOWER_* environment knobs).  Sweeps and model
-// training run batched on the ExperimentEngine: every point fans out across
-// the worker pool and repeated configurations are served from the engine
-// cache.
+// (same meaning, range, and strictness as the GPUPOWER_* environment
+// knobs).  Campaigns and model training run batched on the
+// ExperimentEngine: every point fans out across the worker pool and
+// repeated configurations are served from the engine cache.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -67,8 +54,6 @@
 #include <iostream>
 #include <iterator>
 #include <limits>
-#include <map>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,7 +63,6 @@
 #include "analysis/table.hpp"
 #include "core/config_builder.hpp"
 #include "core/dag/dag.hpp"
-#include "core/dvfs_experiment.hpp"
 #include "core/engine.hpp"
 #include "core/env.hpp"
 #include "core/experiment.hpp"
@@ -86,12 +70,10 @@
 #include "core/obs/obs.hpp"
 #include "core/pattern_dsl.hpp"
 #include "core/power_model.hpp"
-#include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "core/spec.hpp"
 #include "core/store/result_store.hpp"
 #include "core/store/serve.hpp"
-#include "telemetry/nvml.hpp"
 #include "telemetry/sampler.hpp"
 #include "tools/bench_export.hpp"
 
@@ -101,27 +83,15 @@ using namespace gpupower;
 
 struct Options {
   std::string command;
-  unsigned gpu_index = 0;
+  int gpu_index = 0;
   numeric::DType dtype = numeric::DType::kFP16;
   std::string pattern = "gaussian()";
-  std::optional<core::FigureId> figure;
   core::BenchEnv env;
   bool csv = false;
   bool json = false;
-  // dvfs command knobs
-  std::string timeline = "burst(period=0.2, duty=30%, high=100%, low=5%, dur=2)";
-  std::string governor = "utilization(up=80%, down=30%)";
-  double slice_s = 0.01;
-  int pstates = 5;
-  // fleet command knobs
-  int devices = 4;
-  double cap_w = 0.0;  ///< 0 = uncapped
-  std::string allocator = "proportional";
-  bool thermal = false;
-  // spec front end (run/validate, and the dvfs/fleet shims)
+  // spec front end (run/validate)
   std::string spec_path;  ///< positional <spec.json> of run/validate
   std::string bench_out;  ///< campaign bench-document output path
-  bool emit_spec = false; ///< dvfs/fleet: print the spec document and exit
   bool expand = false;    ///< validate: print expanded points / node order
   // serve command knobs
   std::string socket_path;   ///< serve: Unix socket instead of stdin
@@ -143,8 +113,8 @@ constexpr gpusim::GpuModel kGpuByIndex[] = {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s <discovery|dmon|sweep|features|predict|dvfs|fleet"
-               "|run|validate|serve|top> [options]\n"
+               "usage: %s <discovery|dmon|features|predict|run|validate"
+               "|serve|top> [options]\n"
                "  run <spec.json>      execute a scenario / campaign / dag "
                "spec\n"
                "  validate <spec.json> parse + expand a spec without running\n"
@@ -181,27 +151,9 @@ int usage(const char* argv0) {
                "Perfetto) of the run\n"
                "  --metrics-out FILE  run: engine + obs metrics JSON after "
                "the spec completes\n"
-               "  --emit-spec      dvfs/fleet: print the equivalent spec "
-               "JSON and exit\n"
                "  --gpu N          device index (see 'discovery'; default 0)\n"
                "  --dtype T        fp32 | fp16 | fp16t | int8 (default fp16)\n"
                "  --pattern DSL    e.g. \"gaussian(sigma=210) | sort_rows(40%%)\"\n"
-               "  --figure ID      fig3a..fig6d (sweep command)\n"
-               "  --timeline DSL   dvfs workload, e.g. \"burst(period=0.2, "
-               "duty=30%%, dur=2)\"\n"
-               "  --governor DSL   fixed(P) | utilization(up=..%%, down=..%%) "
-               "| oracle()\n"
-               "  --slice S        dvfs replay time step in seconds "
-               "(default 0.01)\n"
-               "  --pstates K      P-state table depth, 1 = DVFS off "
-               "(default 5)\n"
-               "  --devices N      fleet size (default 4)\n"
-               "  --cap W          shared fleet power cap in watts "
-               "(default: uncapped)\n"
-               "  --allocator P    uniform | proportional | priority | "
-               "greedy (default proportional)\n"
-               "  --thermal on     thread the RC die-temperature model "
-               "across slices\n"
                "  --n SIZE --seeds K --tiles T --kfrac F --workers W --csv --json\n"
                "environment (strict; malformed values exit 2):\n"
                "  GPUPOWER_STORE_DIR  persistent result store for run/serve: "
@@ -223,6 +175,16 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Flags that mirror a GPUPOWER_* knob: parsed by the knob's own validator
+/// (core/env.hpp), so a flag and its variable accept exactly the same text.
+constexpr std::pair<std::string_view, core::BenchKnob> kKnobFlags[] = {
+    {"--n", core::BenchKnob::kN},
+    {"--seeds", core::BenchKnob::kSeeds},
+    {"--tiles", core::BenchKnob::kTiles},
+    {"--kfrac", core::BenchKnob::kKFraction},
+    {"--workers", core::BenchKnob::kWorkers},
+};
+
 bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
   if (argc < 2) {
     error = "missing command";
@@ -235,19 +197,39 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (flag == "--csv") {
+    const auto invalid = [&](const char* value, std::string_view expect) {
+      error = "invalid " + std::string(flag) + " '" +
+              (value != nullptr ? value : "") + "' (expected " +
+              std::string(expect) + ")";
+      return false;
+    };
+    // Numeric flags outside the knob table: same strict whole-token parse.
+    const auto int_flag = [&](long min, long max, std::string_view expect,
+                              int& out) {
+      const char* v = next();
+      long value = 0;
+      if (!core::parse_long_strict(v, min, max, value)) {
+        return invalid(v, expect);
+      }
+      out = static_cast<int>(value);
+      return true;
+    };
+    constexpr long kIntMax = std::numeric_limits<int>::max();
+    const auto* knob = std::find_if(
+        std::begin(kKnobFlags), std::end(kKnobFlags),
+        [&](const auto& entry) { return entry.first == flag; });
+    if (knob != std::end(kKnobFlags)) {
+      const char* v = next();
+      std::string expect;
+      if (!core::set_bench_knob(opts.env, knob->second, v, expect)) {
+        return invalid(v, expect);
+      }
+    } else if (flag == "--csv") {
       opts.csv = true;
     } else if (flag == "--json") {
       opts.json = true;
     } else if (flag == "--gpu") {
-      const char* v = next();
-      if (!v) {
-        error = "--gpu needs an index";
-        return false;
-      }
-      opts.gpu_index = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-      if (opts.gpu_index >= 4) {
-        error = "gpu index out of range (0..3)";
+      if (!int_flag(0, 3, "device index in [0, 3]", opts.gpu_index)) {
         return false;
       }
     } else if (flag == "--dtype") {
@@ -263,113 +245,6 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
         return false;
       }
       opts.pattern = v;
-    } else if (flag == "--figure") {
-      const char* v = next();
-      core::FigureId id;
-      if (!v || !core::parse_figure_id(v, id)) {
-        error = "unknown figure id";
-        return false;
-      }
-      opts.figure = id;
-    } else if (flag == "--n") {
-      const char* v = next();
-      if (!v) {
-        error = "--n needs a size";
-        return false;
-      }
-      opts.env.n = std::strtoul(v, nullptr, 10);
-    } else if (flag == "--seeds") {
-      const char* v = next();
-      if (!v) {
-        error = "--seeds needs a count";
-        return false;
-      }
-      opts.env.seeds = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (flag == "--tiles") {
-      const char* v = next();
-      if (!v) {
-        error = "--tiles needs a count";
-        return false;
-      }
-      opts.env.tiles = std::strtoul(v, nullptr, 10);
-    } else if (flag == "--kfrac") {
-      const char* v = next();
-      if (!v) {
-        error = "--kfrac needs a fraction";
-        return false;
-      }
-      opts.env.k_fraction = std::strtod(v, nullptr);
-    } else if (flag == "--timeline") {
-      const char* v = next();
-      if (!v) {
-        error = "--timeline needs a DSL string";
-        return false;
-      }
-      opts.timeline = v;
-    } else if (flag == "--governor") {
-      const char* v = next();
-      if (!v) {
-        error = "--governor needs a DSL string";
-        return false;
-      }
-      opts.governor = v;
-    } else if (flag == "--slice") {
-      const char* v = next();
-      if (!v) {
-        error = "--slice needs a duration (seconds)";
-        return false;
-      }
-      opts.slice_s = std::strtod(v, nullptr);
-    } else if (flag == "--pstates") {
-      const char* v = next();
-      if (!v) {
-        error = "--pstates needs a count";
-        return false;
-      }
-      opts.pstates = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (flag == "--devices") {
-      const char* v = next();
-      if (!v) {
-        error = "--devices needs a count";
-        return false;
-      }
-      opts.devices = static_cast<int>(std::strtol(v, nullptr, 10));
-      if (opts.devices < 1 || opts.devices > 256) {
-        error = "--devices out of range (1..256)";
-        return false;
-      }
-    } else if (flag == "--cap") {
-      const char* v = next();
-      if (!v) {
-        error = "--cap needs watts";
-        return false;
-      }
-      opts.cap_w = std::strtod(v, nullptr);
-      if (!(opts.cap_w > 0.0)) {
-        error = "--cap must be positive";
-        return false;
-      }
-    } else if (flag == "--allocator") {
-      const char* v = next();
-      if (!v) {
-        error = "--allocator needs a policy name";
-        return false;
-      }
-      opts.allocator = v;
-    } else if (flag == "--thermal") {
-      const char* v = next();
-      if (!v || (std::strcmp(v, "on") != 0 && std::strcmp(v, "off") != 0)) {
-        error = "--thermal needs 'on' or 'off'";
-        return false;
-      }
-      opts.thermal = std::strcmp(v, "on") == 0;
-    } else if (flag == "--workers") {
-      const char* v = next();
-      if (!v) {
-        error = "--workers needs a count";
-        return false;
-      }
-      opts.env.workers = static_cast<int>(std::strtol(v, nullptr, 10));
     } else if (flag == "--bench-out") {
       const char* v = next();
       if (!v) {
@@ -377,8 +252,6 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
         return false;
       }
       opts.bench_out = v;
-    } else if (flag == "--emit-spec") {
-      opts.emit_spec = true;
     } else if (flag == "--expand") {
       opts.expand = true;
     } else if (flag == "--socket") {
@@ -398,38 +271,18 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
       }
       opts.metrics_file = v;
     } else if (flag == "--interval") {
-      const char* v = next();
-      if (!v) {
-        error = "--interval needs milliseconds";
-        return false;
-      }
-      opts.top_interval_ms = static_cast<int>(std::strtol(v, nullptr, 10));
-      if (opts.top_interval_ms < 1) {
-        error = "--interval needs a positive millisecond count";
+      if (!int_flag(1, kIntMax, "positive millisecond count",
+                    opts.top_interval_ms)) {
         return false;
       }
     } else if (flag == "--count") {
-      const char* v = next();
-      if (!v) {
-        error = "--count needs a poll count";
-        return false;
-      }
-      opts.top_count = static_cast<int>(std::strtol(v, nullptr, 10));
-      if (opts.top_count < 0) {
-        error = "--count needs a count >= 0";
+      if (!int_flag(0, kIntMax, "poll count >= 0", opts.top_count)) {
         return false;
       }
     } else if (flag == "--plain") {
       opts.plain = true;
     } else if (flag == "--stats-every") {
-      const char* v = next();
-      if (!v) {
-        error = "--stats-every needs a scenario count";
-        return false;
-      }
-      opts.stats_every = static_cast<int>(std::strtol(v, nullptr, 10));
-      if (opts.stats_every < 0) {
-        error = "--stats-every needs a count >= 0";
+      if (!int_flag(0, kIntMax, "scenario count >= 0", opts.stats_every)) {
         return false;
       }
     } else if (flag == "--trace-out") {
@@ -449,8 +302,7 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
     } else if (!flag.starts_with("--") && opts.spec_path.empty() &&
                (opts.command == "run" || opts.command == "validate")) {
       // Only run/validate take a positional (the spec path); a stray
-      // positional on any other verb stays a hard error — "fleet 400"
-      // must not silently run an uncapped fleet.
+      // positional on any other verb stays a hard error.
       opts.spec_path = flag;
     } else {
       error = "unknown option '" + std::string(flag) + "'";
@@ -493,7 +345,7 @@ core::ExperimentConfig make_config(const Options& opts,
                            .dtype(opts.dtype)
                            .pattern(spec)
                            .env(opts.env);
-  // Out-of-range --n/--seeds/--tiles/--kfrac values surface here.
+  // Any remaining builder error surfaces here.
   if (!builder.valid()) {
     std::fprintf(stderr, "gpowerctl: %s\n", builder.error().c_str());
     std::exit(2);
@@ -505,7 +357,7 @@ core::ExperimentEngine make_engine(const Options& opts) {
   core::EngineOptions options;
   options.workers = opts.env.workers;
   // The persistent store rides on the env knobs so every engine-backed
-  // verb (run, serve, sweep, ...) shares one wiring: memory cache ->
+  // verb (run, serve, predict, ...) shares one wiring: memory cache ->
   // store -> compute, write-back on completion.
   const core::StoreEnv store_env = core::read_store_env();
   if (store_env.enabled) {
@@ -529,27 +381,12 @@ int cmd_dmon(const Options& opts) {
       gemm::GemmProblem{config.n, config.n, config.n, 1.0f, 0.0f,
                         spec.transpose_b};
   telemetry::SamplerConfig sampler;
-  gpusim::PowerReport report;
-  switch (opts.dtype) {
-    case numeric::DType::kFP32: {
-      const auto in = core::build_inputs<float>(spec, opts.dtype, config.n, 42);
-      report = sim.run_gemm(problem, opts.dtype, in.a, in.b);
-      break;
-    }
-    case numeric::DType::kFP16:
-    case numeric::DType::kFP16T: {
-      const auto in = core::build_inputs<numeric::float16_t>(spec, opts.dtype,
-                                                             config.n, 42);
-      report = sim.run_gemm(problem, opts.dtype, in.a, in.b);
-      break;
-    }
-    case numeric::DType::kINT8: {
-      const auto in = core::build_inputs<numeric::int8_value_t>(
-          spec, opts.dtype, config.n, 42);
-      report = sim.run_gemm(problem, opts.dtype, in.a, in.b);
-      break;
-    }
-  }
+  const gpusim::PowerReport report =
+      core::with_storage_type(opts.dtype, [&](auto tag) {
+        const auto in = core::build_inputs<typename decltype(tag)::type>(
+            spec, opts.dtype, config.n, 42);
+        return sim.run_gemm(problem, opts.dtype, in.a, in.b);
+      });
   const auto trace =
       telemetry::sample_run(report, config.effective_iterations(), sampler);
 
@@ -563,9 +400,10 @@ int cmd_dmon(const Options& opts) {
     std::printf("  %6.2f  %8.2f\n", trace.samples()[i].t_s,
                 trace.samples()[i].power_w);
   }
-  // One experiment, immediately waited on: the serial one-shot path —
-  // sweeps and training batches go through the engine.
-  const auto result = core::run_experiment(config);
+  // One experiment, immediately waited on: the serial reference path —
+  // campaigns and training batches go through the engine.
+  const core::ScenarioResult scenario = core::run_scenario(config);
+  const core::ExperimentResult& result = scenario.static_result();
   std::printf(
       "\nsummary (%d seeds, first %.0f ms trimmed):\n"
       "  power        %.2f W (std %.2f)\n"
@@ -578,59 +416,13 @@ int cmd_dmon(const Options& opts) {
   return 0;
 }
 
-int cmd_sweep(const Options& opts) {
-  if (!opts.figure) {
-    std::fprintf(stderr, "sweep needs --figure (fig3a..fig6d)\n");
-    return 2;
-  }
-  if (!opts.json) {
-    std::printf("%s on %s, %s\n",
-                std::string(core::figure_name(*opts.figure)).c_str(),
-                std::string(gpusim::name(kGpuByIndex[opts.gpu_index])).c_str(),
-                std::string(numeric::name(opts.dtype)).c_str());
-  }
-  core::ExperimentEngine engine = make_engine(opts);
-  const core::SweepRun run = engine.submit_sweep(
-      *opts.figure, make_config(opts, core::baseline_gaussian_spec()));
-  const std::vector<core::SweepEntry> entries = run.collect();
-
-  analysis::Table table({std::string(core::figure_axis(*opts.figure)),
-                         "power (W)", "std (W)", "alignment", "weight"});
-  for (const auto& entry : entries) {
-    table.add_row(entry.point.label,
-                  {entry.result.power_w, entry.result.power_std_w,
-                   entry.result.alignment, entry.result.weight_fraction},
-                  3);
-  }
-  if (opts.json) {
-    std::printf("%s\n", run.to_json().dump(/*pretty=*/true).c_str());
-  } else if (opts.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  return 0;
-}
-
 core::DataFeatures features_for(const core::PatternSpec& spec,
                                 numeric::DType dtype, std::size_t n) {
-  switch (dtype) {
-    case numeric::DType::kFP32: {
-      const auto in = core::build_inputs<float>(spec, dtype, n, 42);
-      return core::extract_features(in.a, in.b);
-    }
-    case numeric::DType::kFP16:
-    case numeric::DType::kFP16T: {
-      const auto in = core::build_inputs<numeric::float16_t>(spec, dtype, n, 42);
-      return core::extract_features(in.a, in.b);
-    }
-    case numeric::DType::kINT8: {
-      const auto in =
-          core::build_inputs<numeric::int8_value_t>(spec, dtype, n, 42);
-      return core::extract_features(in.a, in.b);
-    }
-  }
-  return {};
+  return core::with_storage_type(dtype, [&](auto tag) {
+    const auto in =
+        core::build_inputs<typename decltype(tag)::type>(spec, dtype, n, 42);
+    return core::extract_features(in.a, in.b);
+  });
 }
 
 int cmd_features(const Options& opts) {
@@ -660,25 +452,28 @@ int cmd_predict(const Options& opts) {
   core::ExperimentEngine engine = make_engine(opts);
   auto training_base = make_config(opts, core::baseline_gaussian_spec());
   training_base.seeds = 1;
-  std::vector<core::SweepRun> runs;
+  std::vector<core::SweepPoint> points;
+  std::vector<core::ScenarioHandle> handles;
   for (const auto fig :
        {core::FigureId::kFig3bDistributionMean,
         core::FigureId::kFig5bSortedAligned, core::FigureId::kFig6aSparsity,
         core::FigureId::kFig4bLsbRandomized, core::FigureId::kFig6cLsbZeroed}) {
-    runs.push_back(engine.submit_sweep(fig, training_base));
+    for (const core::SweepPoint& point : core::figure_sweep(fig)) {
+      core::ExperimentConfig config = training_base;
+      config.pattern = point.spec;
+      handles.push_back(engine.submit(config));
+      points.push_back(point);
+    }
   }
   const auto measured_handle = engine.submit(make_config(opts, spec));
   engine.wait_all();
 
   std::vector<core::PowerSample> samples;
-  for (const core::SweepRun& run : runs) {
-    for (std::size_t i = 0; i < run.points.size(); ++i) {
-      core::PowerSample sample;
-      sample.power_w = run.handles[i].get().power_w;
-      sample.features = features_for(run.points[i].spec, opts.dtype,
-                                     opts.env.n);
-      samples.push_back(sample);
-    }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    core::PowerSample sample;
+    sample.power_w = handles[i].get().static_result().power_w;
+    sample.features = features_for(points[i].spec, opts.dtype, opts.env.n);
+    samples.push_back(sample);
   }
   const auto model = core::InputDependentPowerModel::fit(samples);
   const auto stats = engine.stats();
@@ -691,7 +486,8 @@ int cmd_predict(const Options& opts) {
 
   const double predicted =
       model.predict(features_for(spec, opts.dtype, opts.env.n));
-  const auto& measured = measured_handle.get();
+  const core::ExperimentResult& measured =
+      measured_handle.get().static_result();
   std::printf("pattern:   %s\n", core::to_dsl(spec).c_str());
   std::printf("predicted: %.2f W (no kernel walk)\n", predicted);
   std::printf("simulated: %.2f W (error %+.2f W)\n", measured.power_w,
@@ -1459,239 +1255,6 @@ int cmd_top(const Options& opts) {
   return 0;
 }
 
-int cmd_dvfs(const Options& opts) {
-  core::PatternSpec spec;
-  if (!parse_pattern_or_die(opts, spec)) return 1;
-
-  const auto builder = core::DvfsConfigBuilder()
-                           .experiment(make_config(opts, spec))
-                           .governor(opts.governor)
-                           .timeline(opts.timeline)
-                           .slice(opts.slice_s)
-                           .pstates(opts.pstates);
-  if (!builder.valid()) {
-    std::fprintf(stderr, "gpowerctl: %s\n", builder.error().c_str());
-    return 2;
-  }
-
-  // Spec-building shim: the flags assemble a spec document (printable with
-  // --emit-spec for migration), which is parsed back and submitted through
-  // the same type-erased path `gpowerctl run` uses.
-  const analysis::JsonValue spec_doc =
-      core::spec_to_json(core::ScenarioConfig(builder.build()));
-  if (opts.emit_spec) {
-    std::printf("%s\n", spec_doc.dump(/*pretty=*/true).c_str());
-    return 0;
-  }
-  const core::SpecParseResult parsed_spec = core::parse_scenario_spec(spec_doc);
-  if (!parsed_spec.ok) {
-    return spec_error("internal spec round-trip failed: " + parsed_spec.error);
-  }
-  const core::DvfsConfig config = parsed_spec.spec.config.dvfs();
-
-  core::ExperimentEngine engine = make_engine(opts);
-  const core::DvfsHandle run = engine.submit_dvfs(config);
-
-  // --json emits the requested governor's document alone; only the table
-  // path pays for the reference replays.
-  if (opts.json) {
-    std::printf("%s\n", core::dvfs_to_json(config, run.get())
-                            .dump(/*pretty=*/true)
-                            .c_str());
-    return 0;
-  }
-
-  // Both reference points batched alongside the requested governor:
-  // fixed(0) is "prefer maximum performance", oracle() the clairvoyant
-  // lower bound.
-  core::DvfsConfig fixed_config = config;
-  fixed_config.governor = gpusim::dvfs::GovernorConfig{};
-  fixed_config.governor.policy = gpusim::dvfs::GovernorConfig::Policy::kFixed;
-  fixed_config.governor.fixed_pstate = 0;
-  const core::DvfsHandle fixed_run = engine.submit_dvfs(fixed_config);
-  core::DvfsConfig oracle_config = config;
-  oracle_config.governor = gpusim::dvfs::GovernorConfig{};
-  oracle_config.governor.policy = gpusim::dvfs::GovernorConfig::Policy::kOracle;
-  const core::DvfsHandle oracle_run = engine.submit_dvfs(oracle_config);
-  engine.wait_all();
-
-  const core::DvfsResult& result = run.get();
-
-  std::printf("# gpowerctl dvfs: %s, %s, pattern: %s\n",
-              std::string(gpusim::name(config.experiment.gpu)).c_str(),
-              std::string(numeric::name(config.experiment.dtype)).c_str(),
-              core::to_dsl(spec).c_str());
-  std::printf("# governor: %s, %d P-state(s), slice %.0f ms, timeline %.2f s\n",
-              gpusim::dvfs::to_dsl(config.governor).c_str(), config.pstates,
-              config.slice_s * 1e3, config.timeline.duration_s());
-
-  analysis::Table table({"t (s)", "offered", "util", "P", "clock", "power (W)",
-                         "backlog (ms)"});
-  const auto& slices = result.trace.slices;
-  const std::size_t stride = std::max<std::size_t>(1, slices.size() / 24);
-  for (std::size_t i = 0; i < slices.size(); i += stride) {
-    const auto& s = slices[i];
-    char label[32];
-    std::snprintf(label, sizeof label, "%.2f", s.t_s);
-    table.add_row(label,
-                  {s.offered, s.utilization, static_cast<double>(s.pstate),
-                   s.clock_frac, s.power_w, s.backlog_s * 1e3},
-                  2);
-  }
-  if (opts.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-
-  const core::DvfsResult& fixed = fixed_run.get();
-  const core::DvfsResult& oracle = oracle_run.get();
-  const auto savings = [](double energy, double baseline) {
-    return baseline > 0.0 ? (1.0 - energy / baseline) * 100.0 : 0.0;
-  };
-  if (result.truncated) {
-    std::printf(
-        "\nWARNING: replay hit the slice-cap backstop with work still "
-        "queued;\nenergy/completion under-count the unserved tail\n");
-  }
-  std::printf(
-      "\nsummary (%d seed(s)):\n"
-      "  energy        %.2f J (std %.2f)   avg %.1f W   peak %.1f W\n"
-      "  completion    %.3f s   max backlog %.1f ms   transitions %.1f\n"
-      "  vs fixed-max  %.2f J -> %+.1f%% energy, %+.1f ms completion\n"
-      "  vs oracle     %.2f J (gap %+.1f%%)\n",
-      result.seeds, result.energy_j, result.energy_std_j, result.avg_power_w,
-      result.peak_power_w, result.completion_s, result.backlog_max_s * 1e3,
-      result.transitions, fixed.energy_j,
-      -savings(result.energy_j, fixed.energy_j),
-      (result.completion_s - fixed.completion_s) * 1e3, oracle.energy_j,
-      -savings(result.energy_j, oracle.energy_j));
-  return 0;
-}
-
-int cmd_fleet(const Options& opts) {
-  core::PatternSpec spec;
-  if (!parse_pattern_or_die(opts, spec)) return 1;
-
-  // Phase-shift each device's copy of the timeline by a small stagger so
-  // the fleet's demands are not synchronised — the regime where the
-  // allocation policy actually matters (synchronised bursts degenerate
-  // every allocator to uniform).
-  const auto parsed_timeline = gpusim::dvfs::parse_timeline(opts.timeline);
-  if (!parsed_timeline.ok) {
-    std::fprintf(stderr, "gpowerctl: timeline DSL error at offset %zu: %s\n",
-                 parsed_timeline.error_pos, parsed_timeline.error.c_str());
-    return 2;
-  }
-  constexpr double kStaggerS = 0.05;
-
-  core::FleetConfigBuilder builder;
-  builder.experiment(make_config(opts, spec))
-      .allocator(opts.allocator)
-      .slice(opts.slice_s)
-      .pstates(opts.pstates)
-      .add_staggered_devices(parsed_timeline.timeline, opts.devices,
-                             kStaggerS, kGpuByIndex[opts.gpu_index],
-                             opts.governor);
-  if (opts.cap_w > 0.0) builder.cap(opts.cap_w);
-  gpusim::fleet::ThermalConfig thermal;
-  thermal.enabled = opts.thermal;
-  builder.thermal(thermal);
-  if (!builder.valid()) {
-    std::fprintf(stderr, "gpowerctl: %s\n", builder.error().c_str());
-    return 2;
-  }
-
-  // Spec-building shim, exactly like cmd_dvfs: flags -> spec document ->
-  // parse -> the shared type-erased submission path.
-  const analysis::JsonValue spec_doc =
-      core::spec_to_json(core::ScenarioConfig(builder.build()));
-  if (opts.emit_spec) {
-    std::printf("%s\n", spec_doc.dump(/*pretty=*/true).c_str());
-    return 0;
-  }
-  const core::SpecParseResult parsed_spec = core::parse_scenario_spec(spec_doc);
-  if (!parsed_spec.ok) {
-    return spec_error("internal spec round-trip failed: " + parsed_spec.error);
-  }
-  const core::FleetConfig config = parsed_spec.spec.config.fleet();
-
-  core::ExperimentEngine engine = make_engine(opts);
-  const core::FleetHandle run = engine.submit_fleet(config);
-
-  if (opts.json) {
-    std::printf("%s\n", core::fleet_to_json(config, run.get())
-                            .dump(/*pretty=*/true)
-                            .c_str());
-    return 0;
-  }
-
-  // The uncapped, thermal-matched fleet as the baseline: what the same
-  // hardware would do with an unlimited site envelope.
-  core::FleetConfig uncapped_config = config;
-  uncapped_config.allocator.cap_w =
-      std::numeric_limits<double>::infinity();
-  const core::FleetHandle uncapped_run =
-      engine.submit_fleet(uncapped_config);
-  engine.wait_all();
-
-  const core::FleetResult& result = run.get();
-
-  std::printf("# gpowerctl fleet: %d x %s, %s, allocator %s",
-              opts.devices,
-              std::string(gpusim::name(kGpuByIndex[opts.gpu_index])).c_str(),
-              std::string(numeric::name(config.experiment.dtype)).c_str(),
-              std::string(
-                  gpusim::fleet::name(config.allocator.policy))
-                  .c_str());
-  if (config.allocator.capped()) {
-    std::printf(", cap %.0f W", config.allocator.cap_w);
-  } else {
-    std::printf(", uncapped");
-  }
-  std::printf(", thermal %s\n", config.thermal.enabled ? "on" : "off");
-  std::printf("# timeline: %s (staggered %.0f ms/device)\n",
-              opts.timeline.c_str(), kStaggerS * 1e3);
-
-  analysis::Table table({"device", "energy (J)", "avg W", "completion (s)",
-                         "backlog (ms)", "peak T (C)", "throttled",
-                         "clamped"});
-  for (std::size_t i = 0; i < result.devices.size(); ++i) {
-    const core::FleetDeviceSummary& device = result.devices[i];
-    char label[32];
-    std::snprintf(label, sizeof label, "gpu%zu", i);
-    table.add_row(label,
-                  {device.energy_j, device.avg_power_w, device.completion_s,
-                   device.backlog_max_s * 1e3, device.peak_temperature_c,
-                   device.throttled_slices, device.budget_clamped_slices},
-                  2);
-  }
-  if (opts.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-
-  const core::FleetResult& uncapped = uncapped_run.get();
-  if (result.truncated) {
-    std::printf(
-        "\nWARNING: a device hit the slice-cap backstop with work still "
-        "queued;\nenergy/completion under-count the unserved tail\n");
-  }
-  std::printf(
-      "\nfleet summary (%d seed(s)):\n"
-      "  energy        %.2f J (std %.2f)   avg %.1f W   peak %.1f W\n"
-      "  completion    %.3f s   max backlog %.1f ms   transitions %.1f\n"
-      "  SLO backlog   p99 across devices %.1f ms\n"
-      "  over-cap      %.1f slice(s) (idle-floor physics)\n"
-      "  vs uncapped   %.2f J energy, %.3f s completion, peak %.1f W\n",
-      result.seeds, result.energy_j, result.energy_std_j, result.avg_power_w,
-      result.peak_power_w, result.completion_s, result.backlog_max_s * 1e3,
-      result.transitions, result.backlog_p99_s * 1e3, result.over_cap_slices,
-      uncapped.energy_j, uncapped.completion_s, uncapped.peak_power_w);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1708,11 +1271,8 @@ int main(int argc, char** argv) {
   if (!opts.metrics_out.empty()) core::obs::set_metrics_enabled(true);
   if (opts.command == "discovery") return cmd_discovery();
   if (opts.command == "dmon") return cmd_dmon(opts);
-  if (opts.command == "sweep") return cmd_sweep(opts);
   if (opts.command == "features") return cmd_features(opts);
   if (opts.command == "predict") return cmd_predict(opts);
-  if (opts.command == "dvfs") return cmd_dvfs(opts);
-  if (opts.command == "fleet") return cmd_fleet(opts);
   if (opts.command == "run") return cmd_run(opts);
   if (opts.command == "validate") return cmd_validate(opts);
   if (opts.command == "serve") return cmd_serve(opts);
