@@ -1,28 +1,8 @@
 #include "core/config_builder.hpp"
 
-#include <cstdio>
-
 #include "core/pattern_dsl.hpp"
-#include "gpusim/device.hpp"
 
 namespace gpupower::core {
-namespace {
-
-// Matches the [64, 65536] range env.cpp enforces for GPUPOWER_N, so a
-// config is constructible through the builder iff it is reachable through
-// the environment knobs.
-constexpr std::size_t kMinN = 64;
-constexpr std::size_t kMaxN = 1 << 16;
-constexpr int kMaxSeeds = 10000;
-constexpr std::size_t kMaxIterations = 1000000000;
-
-std::string format_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 void ExperimentConfigBuilder::fail(std::string message) {
   if (error_.empty()) error_ = std::move(message);
@@ -52,32 +32,17 @@ ExperimentConfigBuilder& ExperimentConfigBuilder::dtype(std::string_view name) {
 }
 
 ExperimentConfigBuilder& ExperimentConfigBuilder::n(std::size_t n) {
-  if (n < kMinN || n > kMaxN) {
-    fail("n=" + std::to_string(n) + " out of range [" + std::to_string(kMinN) +
-         ", " + std::to_string(kMaxN) + "]");
-    return *this;
-  }
   config_.n = n;
   return *this;
 }
 
 ExperimentConfigBuilder& ExperimentConfigBuilder::seeds(int seeds) {
-  if (seeds < 1 || seeds > kMaxSeeds) {
-    fail("seeds=" + std::to_string(seeds) + " out of range [1, " +
-         std::to_string(kMaxSeeds) + "]");
-    return *this;
-  }
   config_.seeds = seeds;
   return *this;
 }
 
 ExperimentConfigBuilder& ExperimentConfigBuilder::iterations(
     std::size_t iterations) {
-  if (iterations > kMaxIterations) {
-    fail("iterations=" + std::to_string(iterations) + " out of range [0, " +
-         std::to_string(kMaxIterations) + "]");
-    return *this;
-  }
   config_.iterations = iterations;
   return *this;
 }
@@ -108,21 +73,12 @@ ExperimentConfigBuilder& ExperimentConfigBuilder::pattern(
 
 ExperimentConfigBuilder& ExperimentConfigBuilder::sampling(
     const gpupower::gpusim::SamplingPlan& plan) {
-  if (plan.k_fraction <= 0.0 || plan.k_fraction > 1.0) {
-    fail("sampling.k_fraction=" + format_double(plan.k_fraction) +
-         " out of range (0, 1]");
-    return *this;
-  }
   config_.sampling = plan;
   return *this;
 }
 
 ExperimentConfigBuilder& ExperimentConfigBuilder::sampler(
     const telemetry::SamplerConfig& config) {
-  if (config.period_s <= 0.0 || config.warmup_trim_s < 0.0) {
-    fail("sampler period must be positive and warmup trim non-negative");
-    return *this;
-  }
   config_.sampler = config;
   return *this;
 }
@@ -134,16 +90,17 @@ ExperimentConfigBuilder& ExperimentConfigBuilder::variation(
 }
 
 ExperimentConfigBuilder& ExperimentConfigBuilder::env(const BenchEnv& env) {
-  // Route through the validating setters so a BenchEnv assembled outside
-  // read_bench_env (e.g. from CLI flags) cannot smuggle in out-of-range
-  // values.
-  n(env.n);
-  seeds(env.seeds);
-  gpupower::gpusim::SamplingPlan plan = config_.sampling;
-  plan.max_tiles = env.tiles;
-  plan.k_fraction = env.k_fraction;
-  sampling(plan);
+  env.apply(config_);
   return *this;
+}
+
+bool ExperimentConfigBuilder::valid() const noexcept {
+  return error_.empty() && validate_experiment_config(config_).empty();
+}
+
+std::string ExperimentConfigBuilder::error() const {
+  if (!error_.empty()) return error_;
+  return validate_experiment_config(config_);
 }
 
 std::optional<ExperimentConfig> ExperimentConfigBuilder::try_build() const {
@@ -180,10 +137,6 @@ DvfsConfigBuilder& DvfsConfigBuilder::governor(std::string_view dsl) {
 
 DvfsConfigBuilder& DvfsConfigBuilder::timeline(
     const gpupower::gpusim::dvfs::WorkloadTimeline& timeline) {
-  if (timeline.empty()) {
-    fail("timeline has no phases");
-    return *this;
-  }
   config_.timeline = timeline;
   return *this;
 }
@@ -217,40 +170,22 @@ DvfsConfigBuilder& DvfsConfigBuilder::add_phase_pattern(std::string_view dsl) {
 }
 
 DvfsConfigBuilder& DvfsConfigBuilder::slice(double slice_s) {
-  // The microsecond floor keeps replay slice counts sane (the replayer
-  // additionally hard-caps the slice count as a backstop).
-  if (!(slice_s >= 1e-6) || slice_s > 10.0) {
-    fail("slice=" + format_double(slice_s) +
-         " out of range [1e-6, 10] seconds");
-    return *this;
-  }
   config_.slice_s = slice_s;
   return *this;
 }
 
 DvfsConfigBuilder& DvfsConfigBuilder::pstates(int count) {
-  if (count < 1 || count > 16) {
-    fail("pstates=" + std::to_string(count) + " out of range [1, 16]");
-    return *this;
-  }
   config_.pstates = count;
   return *this;
 }
 
-const std::string& DvfsConfigBuilder::error() const noexcept {
+bool DvfsConfigBuilder::valid() const noexcept {
+  return error_.empty() && validate_dvfs_config(config_).empty();
+}
+
+std::string DvfsConfigBuilder::error() const {
   if (!error_.empty()) return error_;
-  static const std::string kMissingTimeline =
-      "no timeline set (a DVFS config needs a workload to replay)";
-  static const std::string kDanglingPattern =
-      "timeline references a phase pattern index beyond the added "
-      "phase patterns (add_phase_pattern)";
-  static const std::string kNone;
-  if (config_.timeline.empty()) return kMissingTimeline;
-  if (config_.timeline.max_pattern_index() >=
-      static_cast<int>(config_.phase_patterns.size())) {
-    return kDanglingPattern;
-  }
-  return kNone;
+  return validate_dvfs_config(config_);
 }
 
 std::optional<DvfsConfig> DvfsConfigBuilder::try_build() const {
@@ -270,10 +205,6 @@ FleetConfigBuilder& FleetConfigBuilder::experiment(
 
 FleetConfigBuilder& FleetConfigBuilder::add_timeline(
     const gpupower::gpusim::dvfs::WorkloadTimeline& timeline) {
-  if (timeline.empty()) {
-    fail("timeline has no phases");
-    return *this;
-  }
   config_.timelines.push_back(timeline);
   return *this;
 }
@@ -359,25 +290,12 @@ FleetConfigBuilder& FleetConfigBuilder::allocator(std::string_view policy) {
 }
 
 FleetConfigBuilder& FleetConfigBuilder::cap(double cap_w) {
-  if (!(cap_w > 0.0)) {
-    fail("cap=" + format_double(cap_w) +
-         " must be positive (infinity = uncapped)");
-    return *this;
-  }
   config_.allocator.cap_w = cap_w;
   return *this;
 }
 
 FleetConfigBuilder& FleetConfigBuilder::thermal(
     const gpupower::gpusim::fleet::ThermalConfig& config) {
-  if (config.enabled && !(config.tau_s > 0.0)) {
-    fail("thermal tau must be > 0");
-    return *this;
-  }
-  if (config.enabled && !(config.trip_c > config.release_c)) {
-    fail("thermal trip temperature must exceed the release temperature");
-    return *this;
-  }
   config_.thermal = config;
   return *this;
 }
@@ -401,20 +319,11 @@ FleetConfigBuilder& FleetConfigBuilder::add_phase_pattern(
 }
 
 FleetConfigBuilder& FleetConfigBuilder::slice(double slice_s) {
-  if (!(slice_s >= 1e-6) || slice_s > 10.0) {
-    fail("slice=" + format_double(slice_s) +
-         " out of range [1e-6, 10] seconds");
-    return *this;
-  }
   config_.slice_s = slice_s;
   return *this;
 }
 
 FleetConfigBuilder& FleetConfigBuilder::pstates(int count) {
-  if (count < 1 || count > 16) {
-    fail("pstates=" + std::to_string(count) + " out of range [1, 16]");
-    return *this;
-  }
   config_.pstates = count;
   return *this;
 }
@@ -431,52 +340,6 @@ std::string FleetConfigBuilder::error() const {
 std::optional<FleetConfig> FleetConfigBuilder::try_build() const {
   if (!valid()) return std::nullopt;
   return config_;
-}
-
-std::string canonical_config_key(const ExperimentConfig& config) {
-  std::string key;
-  key.reserve(192);
-  key += "gpu=";
-  key += gpupower::gpusim::name(config.gpu);
-  key += "|dtype=";
-  key += gpupower::numeric::name(config.dtype);
-  key += "|n=" + std::to_string(config.n);
-  key += "|seeds=" + std::to_string(config.seeds);
-  key += "|iters=" + std::to_string(config.effective_iterations());
-  key += "|base=" + std::to_string(config.base_seed);
-  key += "|samp=" + std::to_string(config.sampling.max_tiles) + ":" +
-         format_double(config.sampling.k_fraction) + ":" +
-         std::to_string(config.sampling.seed);
-  key += "|smpl=" + format_double(config.sampler.period_s) + ":" +
-         format_double(config.sampler.warmup_trim_s) + ":" +
-         format_double(config.sampler.ramp_tau_s) + ":" +
-         format_double(config.sampler.noise_sigma_w);
-  key += "|var=";
-  if (config.variation) {
-    key += format_double(config.variation->sigma_fraction) + ":" +
-           std::to_string(config.variation->instance) + ":" +
-           (config.variation->per_seed ? "perseed" : "shared");
-  } else {
-    key += "none";
-  }
-  // to_dsl keeps the key human-readable, but rounds doubles to ~6
-  // significant digits; append the pattern's raw scalars at full precision
-  // so near-identical specs never collide.
-  key += "|pattern=" + to_dsl(config.pattern);
-  key += "|praw=" + pattern_raw_key(config.pattern);
-  return key;
-}
-
-std::string pattern_raw_key(const PatternSpec& pattern) {
-  return std::to_string(static_cast<int>(pattern.value)) + ":" +
-         format_double(pattern.mean) + ":" + format_double(pattern.sigma) +
-         ":" + std::to_string(pattern.set_size) + ":" +
-         std::to_string(static_cast<int>(pattern.place)) + ":" +
-         format_double(pattern.sort_percent) + ":" +
-         format_double(pattern.sparsity) + ":" +
-         std::to_string(static_cast<int>(pattern.bitop)) + ":" +
-         format_double(pattern.bit_fraction) + ":" +
-         (pattern.transpose_b ? "t" : "n");
 }
 
 }  // namespace gpupower::core

@@ -12,9 +12,11 @@
 //                           .pattern("gaussian(sigma=210) | sparsity(25%)")
 //                           .build();
 //
-// Errors (bad DSL, out-of-range sizes, unknown dtype names) are collected
-// rather than thrown: check `valid()` / `error()`, or use `try_build()`.
-// The first error encountered wins, pointing at the root cause.
+// Errors are collected rather than thrown: check `valid()` / `error()`, or
+// use `try_build()`.  Setters record only parse errors (bad DSL, unknown
+// dtype names); ranges are checked once, on the assembled config, by
+// validate_experiment_config.  error() is the first parse error, else the
+// validator's first problem.
 #pragma once
 
 #include <cstdint>
@@ -51,14 +53,15 @@ class ExperimentConfigBuilder {
   ExperimentConfigBuilder& sampler(const telemetry::SamplerConfig& config);
   ExperimentConfigBuilder& variation(
       const gpupower::gpusim::ProcessVariation& variation);
-  /// Applies the GPUPOWER_* environment knobs (n, seeds, sampling plan)
-  /// through the validating setters, so out-of-range values recorded into a
-  /// BenchEnv by hand (e.g. from CLI flags) surface as builder errors.
+  /// Applies the GPUPOWER_* environment knobs (n, seeds, sampling plan);
+  /// out-of-range values recorded into a BenchEnv by hand (e.g. from CLI
+  /// flags) surface as builder errors.
   ExperimentConfigBuilder& env(const BenchEnv& env);
 
-  [[nodiscard]] bool valid() const noexcept { return error_.empty(); }
-  /// First validation error, empty when valid().
-  [[nodiscard]] const std::string& error() const noexcept { return error_; }
+  [[nodiscard]] bool valid() const noexcept;
+  /// First parse error, else validate_experiment_config's; empty when
+  /// valid().
+  [[nodiscard]] std::string error() const;
 
   /// The assembled config.  Call only when valid(); on an invalid builder
   /// this still returns the partially-assembled config, so prefer
@@ -79,7 +82,7 @@ class ExperimentConfigBuilder {
 /// inherit the builder's defaults) and adds the governor, timeline, slice,
 /// and P-state knobs, with the governor and timeline DSLs parsed and
 /// validated in place.  Error handling matches ExperimentConfigBuilder:
-/// first error wins, check valid()/error() or use try_build().
+/// first parse error, else validate_dvfs_config's first problem.
 ///
 ///   const auto config = DvfsConfigBuilder()
 ///                           .experiment(experiment_config)
@@ -113,12 +116,8 @@ class DvfsConfigBuilder {
   /// (there is no sensible default workload to replay).  A timeline phase
   /// referencing a pattern index beyond the added phase patterns is a
   /// dangling cross-reference, also invalid.
-  [[nodiscard]] bool valid() const noexcept {
-    return error_.empty() && !config_.timeline.empty() &&
-           config_.timeline.max_pattern_index() <
-               static_cast<int>(config_.phase_patterns.size());
-  }
-  [[nodiscard]] const std::string& error() const noexcept;
+  [[nodiscard]] bool valid() const noexcept;
+  [[nodiscard]] std::string error() const;
 
   [[nodiscard]] DvfsConfig build() const { return config_; }
   [[nodiscard]] std::optional<DvfsConfig> try_build() const;
@@ -135,7 +134,7 @@ class DvfsConfigBuilder {
 /// point), collects timelines and devices by append order, and adds the
 /// allocator/cap, thermal model, and replay knobs, with every DSL parsed
 /// and validated in place.  Error handling matches the other builders:
-/// first error wins, check valid()/error() or use try_build().
+/// first parse error, else validate_fleet_config's first problem.
 ///
 ///   const auto config = FleetConfigBuilder()
 ///                           .experiment(experiment_config)
@@ -192,7 +191,7 @@ class FleetConfigBuilder {
   FleetConfigBuilder& pstates(int count);
 
   /// Valid iff no setter recorded an error and validate_fleet_config
-  /// accepts the assembled cross-references.
+  /// accepts the assembled config.
   [[nodiscard]] bool valid() const noexcept;
   [[nodiscard]] std::string error() const;
 
@@ -205,17 +204,5 @@ class FleetConfigBuilder {
   FleetConfig config_;
   std::string error_;
 };
-
-/// Canonical cache key for a config: the pattern serialised through
-/// `to_dsl` (human-readable) plus every scalar field that influences the
-/// result — including the pattern's raw scalars — at "%.17g" precision so
-/// distinct configs never collide.  Two configs with equal keys produce
-/// bit-identical ExperimentResults.
-[[nodiscard]] std::string canonical_config_key(const ExperimentConfig& config);
-
-/// One pattern's raw scalars at "%.17g" precision — the `praw` fragment of
-/// canonical_config_key, reused by the DVFS/fleet keys for the per-phase
-/// pattern lists.
-[[nodiscard]] std::string pattern_raw_key(const PatternSpec& pattern);
 
 }  // namespace gpupower::core

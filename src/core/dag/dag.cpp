@@ -1,7 +1,6 @@
 #include "core/dag/dag.hpp"
 
 #include <cstddef>
-#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -21,59 +20,10 @@ using gpupower::gpusim::dvfs::detail::format_exact;
 constexpr std::size_t kMaxDagNodes = 256;
 constexpr int kMaxSearchIterations = 64;
 
-struct Ctx {
-  std::string error;
-
-  bool fail(std::string_view where, std::string_view message) {
-    if (error.empty()) {
-      error = where.empty()
-                  ? std::string(message)
-                  : std::string(where) + ": " + std::string(message);
-    }
-    return false;
-  }
-};
-
-bool check_keys(const JsonValue& obj, std::string_view where,
-                std::initializer_list<std::string_view> allowed, Ctx& ctx) {
-  for (const std::string& key : obj.keys()) {
-    bool known = false;
-    for (const std::string_view candidate : allowed) {
-      if (key == candidate) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::string expected;
-      for (const std::string_view candidate : allowed) {
-        if (!expected.empty()) expected += ", ";
-        expected += candidate;
-      }
-      return ctx.fail(where, "unknown key '" + key +
-                                 "' (expected one of: " + expected + ")");
-    }
-  }
-  return true;
-}
-
-bool read_string(const JsonValue* v, std::string_view where, Ctx& ctx,
-                 std::string& out) {
-  if (v == nullptr || !v->is_string()) {
-    return ctx.fail(where, "expected a string");
-  }
-  out = v->as_string();
-  return true;
-}
-
-bool read_number(const JsonValue* v, std::string_view where, Ctx& ctx,
-                 double& out) {
-  if (v == nullptr || !v->is_number()) {
-    return ctx.fail(where, "expected a number");
-  }
-  out = v->as_number();
-  return true;
-}
+using detail::check_keys;
+using detail::read_number;
+using detail::read_string;
+using Ctx = detail::SpecCtx;
 
 std::string node_where(std::size_t index, std::string_view name) {
   std::string where = "nodes[" + std::to_string(index) + "]";

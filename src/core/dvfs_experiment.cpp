@@ -1,14 +1,11 @@
 #include "core/dvfs_experiment.hpp"
 
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/stats.hpp"
-#include "core/config_builder.hpp"
 #include "core/pattern_spec.hpp"
 #include "gpusim/dvfs/dsl_util.hpp"
 #include "patterns/rng.hpp"
@@ -37,8 +34,6 @@ gpupower::gpusim::ActivityEstimate pattern_activity(
         sim, pattern, dtype, n, problem, replica_seed);
   });
 }
-
-using dvfs::detail::format_exact;
 
 }  // namespace
 
@@ -76,13 +71,34 @@ std::vector<gpupower::gpusim::ActivityTotals> replica_activity_variants(
   return variants;
 }
 
+std::string validate_replay_knobs(double slice_s, int pstates) {
+  // The microsecond floor keeps replay slice counts sane (the replayer
+  // additionally hard-caps the slice count as a backstop); the pstates cap
+  // keeps a hand-built config from requesting a million-entry table.
+  if (!(slice_s >= 1e-6 && slice_s <= 10.0)) {
+    return "slice=" + dvfs::detail::format_exact(slice_s) +
+           " out of range [1e-6, 10] seconds";
+  }
+  if (pstates < 1 || pstates > 16) {
+    return "pstates=" + std::to_string(pstates) + " out of range [1, 16]";
+  }
+  return {};
+}
+
 std::string validate_dvfs_config(const DvfsConfig& config) {
-  if (config.slice_s <= 0.0) return "slice_s must be > 0";
+  if (std::string problem = validate_experiment_config(config.experiment);
+      !problem.empty()) {
+    return problem;
+  }
   if (config.timeline.empty()) return "timeline has no phases";
-  if (config.pstates < 1 || config.pstates > 16) {
-    // Matches DvfsConfigBuilder's bound; a hand-built config must not
-    // request a million-entry P-state table.
-    return "pstates must be in [1, 16], got " + std::to_string(config.pstates);
+  if (std::string problem =
+          validate_replay_knobs(config.slice_s, config.pstates);
+      !problem.empty()) {
+    return problem;
+  }
+  if (std::string problem = dvfs::validate_governor(config.governor);
+      !problem.empty()) {
+    return "governor: " + problem;
   }
   const int max_pattern = config.timeline.max_pattern_index();
   if (max_pattern >= static_cast<int>(config.phase_patterns.size())) {
@@ -152,61 +168,6 @@ DvfsResult reduce_dvfs_replicas(
   result.seeds = config.experiment.seeds;
   if (!replicas.empty()) result.trace = replicas.front();
   return result;
-}
-
-std::string canonical_governor_key(const dvfs::GovernorConfig& governor) {
-  // Raw governor fields at full precision — to_dsl is the %g display form
-  // and would collide configs differing past 6 significant digits.
-  return std::to_string(static_cast<int>(governor.policy)) + ":" +
-         std::to_string(governor.fixed_pstate) + ":" +
-         format_exact(governor.boost_util) + ":" +
-         format_exact(governor.boost_hold_s) + ":" +
-         format_exact(governor.low_util) + ":" +
-         format_exact(governor.low_hold_s);
-}
-
-std::string canonical_timeline_key(const dvfs::WorkloadTimeline& timeline) {
-  // Short timelines keep the readable phase list; long ones (a burst DSL
-  // can legally realise ~2M phases) collapse to phase count + an FNV-1a
-  // hash over the raw phase fields — no multi-megabyte serialisation is
-  // ever materialised.
-  if (timeline.phases().size() <= 64) {
-    return dvfs::to_dsl(timeline);
-  }
-  std::uint64_t hash = 1469598103934665603ull;
-  const auto mix = [&hash](double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    for (int b = 0; b < 64; b += 8) {
-      hash ^= (bits >> b) & 0xFFu;
-      hash *= 1099511628211ull;
-    }
-  };
-  for (const auto& phase : timeline.phases()) {
-    mix(phase.duration_s);
-    mix(phase.utilization);
-    mix(static_cast<double>(phase.pattern));
-  }
-  std::string key = "#";
-  key += std::to_string(timeline.phases().size());
-  key += ':';
-  key += std::to_string(hash);
-  return key;
-}
-
-std::string canonical_dvfs_key(const DvfsConfig& config) {
-  std::string key = canonical_config_key(config.experiment);
-  key += "|gov=" + canonical_governor_key(config.governor);
-  key += "|slice=" + format_exact(config.slice_s);
-  key += "|pstates=" + std::to_string(config.pstates);
-  key += "|tl=" + canonical_timeline_key(config.timeline);
-  // Phase patterns contribute their raw scalars; the fragment is absent
-  // when the list is empty, keeping historical keys stable.
-  for (const PatternSpec& pattern : config.phase_patterns) {
-    key += "|pp=" + pattern_raw_key(pattern);
-  }
-  return key;
 }
 
 }  // namespace gpupower::core

@@ -61,12 +61,16 @@ struct DvfsResult {
   gpupower::gpusim::dvfs::ReplayResult trace;
 };
 
-/// Validates the DVFS-specific fields a hand-assembled config can get
-/// wrong (slice, empty timeline, pstates range, dangling phase-pattern
-/// references).  Returns an empty string when valid, else the first
-/// problem — shared by run_dvfs_seed_replica and the scenario registry's
-/// dvfs validator (which checks seeds first, like every kind).
+/// Validates a DVFS config: the working point (validate_experiment_config),
+/// then empty timeline, slice and pstates ranges, and dangling
+/// phase-pattern references.  Returns an empty string when valid, else the
+/// first problem — shared by DvfsConfigBuilder, run_dvfs_seed_replica and
+/// the scenario registry's dvfs validator.
 [[nodiscard]] std::string validate_dvfs_config(const DvfsConfig& config);
+
+/// The replay-knob checks DVFS and fleet configs share: slice_s in
+/// [1e-6, 10] seconds, pstates in [1, 16].  Empty when both are in range.
+[[nodiscard]] std::string validate_replay_knobs(double slice_s, int pstates);
 
 /// Replays one seed replica's timeline.  Pure and thread-safe, like
 /// run_seed_replica.  Throws std::invalid_argument when
@@ -78,22 +82,6 @@ struct DvfsResult {
 [[nodiscard]] DvfsResult reduce_dvfs_replicas(
     const DvfsConfig& config,
     std::span<const gpupower::gpusim::dvfs::ReplayResult> replicas);
-
-/// Cache key, same contract as canonical_config_key: equal keys produce
-/// bit-identical DvfsResults.
-[[nodiscard]] std::string canonical_dvfs_key(const DvfsConfig& config);
-
-/// Cache-key fragments shared between the DVFS and fleet keys: raw fields
-/// at full precision (the DSL display forms round to ~6 significant
-/// digits and would collide distinct configs).
-[[nodiscard]] std::string canonical_governor_key(
-    const gpupower::gpusim::dvfs::GovernorConfig& governor);
-/// Short timelines keep the readable phase list; long ones (a burst DSL
-/// can legally realise ~2M phases) collapse to phase count + an FNV-1a
-/// hash over the raw phase fields — no multi-megabyte serialisation is
-/// ever materialised.
-[[nodiscard]] std::string canonical_timeline_key(
-    const gpupower::gpusim::dvfs::WorkloadTimeline& timeline);
 
 /// Activity totals for every working point a timeline can reference:
 /// element 0 is the experiment's base pattern, element k+1 is

@@ -60,18 +60,20 @@ bool set_bench_knob(BenchEnv& env, BenchKnob knob, const char* text,
   long v = 0;
   switch (knob) {
     case BenchKnob::kN:
-      expect = "integer matrix size in [64, 65536]";
-      if (!parse_long_strict(text, 64, 65536, v)) return false;
+      expect = "integer matrix size in [" + std::to_string(kMinN) + ", " +
+               std::to_string(kMaxN) + "]";
+      if (!parse_long_strict(text, kMinN, kMaxN, v)) return false;
       env.n = static_cast<std::size_t>(v);
       return true;
     case BenchKnob::kSeeds:
-      expect = "integer seed count in [1, 10000]";
-      if (!parse_long_strict(text, 1, 10000, v)) return false;
+      expect = "integer seed count in [1, " + std::to_string(kMaxSeeds) + "]";
+      if (!parse_long_strict(text, 1, kMaxSeeds, v)) return false;
       env.seeds = static_cast<int>(v);
       return true;
     case BenchKnob::kTiles:
-      expect = "integer tile budget in [0, 1000000]; 0 = exact walk";
-      if (!parse_long_strict(text, 0, 1000000, v)) return false;
+      expect = "integer tile budget in [0, " + std::to_string(kMaxTiles) +
+               "]; 0 = exact walk";
+      if (!parse_long_strict(text, 0, kMaxTiles, v)) return false;
       env.tiles = static_cast<std::size_t>(v);
       return true;
     case BenchKnob::kKFraction:

@@ -1,7 +1,10 @@
 #include "core/experiment.hpp"
 
+#include <cmath>
+#include <utility>
 
 #include "analysis/stats.hpp"
+#include "gpusim/dvfs/dsl_util.hpp"
 #include "patterns/rng.hpp"
 
 namespace gpupower::core {
@@ -42,6 +45,51 @@ SeedReplicaResult run_typed_replica(const ExperimentConfig& config,
 }
 
 }  // namespace
+
+std::string validate_experiment_config(const ExperimentConfig& config) {
+  using gpupower::gpusim::dvfs::detail::format_exact;
+  if (config.n < kMinN || config.n > kMaxN) {
+    return "n=" + std::to_string(config.n) + " out of range [" +
+           std::to_string(kMinN) + ", " + std::to_string(kMaxN) + "]";
+  }
+  if (config.seeds < 1 || config.seeds > kMaxSeeds) {
+    return "seeds=" + std::to_string(config.seeds) + " out of range [1, " +
+           std::to_string(kMaxSeeds) + "]";
+  }
+  if (config.iterations > kMaxIterations) {
+    return "iterations=" + std::to_string(config.iterations) +
+           " out of range [0, " + std::to_string(kMaxIterations) + "]";
+  }
+  if (config.sampling.max_tiles > kMaxTiles) {
+    return "sampling.tiles=" + std::to_string(config.sampling.max_tiles) +
+           " out of range [0, " + std::to_string(kMaxTiles) + "]";
+  }
+  const double k_fraction = config.sampling.k_fraction;
+  if (!(k_fraction > 0.0 && k_fraction <= 1.0)) {
+    return "sampling.k_fraction=" + format_exact(k_fraction) +
+           " out of range (0, 1]";
+  }
+  if (!(config.sampler.period_s > 0.0) ||
+      !(config.sampler.warmup_trim_s >= 0.0)) {
+    return "sampler period must be positive and warmup trim non-negative";
+  }
+  // The cache key prints every non-finite double as JSON null, so a keyed
+  // field must be finite for equal keys to mean equal results.
+  const std::pair<const char*, double> keyed[] = {
+      {"sampler.period_s", config.sampler.period_s},
+      {"sampler.warmup_trim_s", config.sampler.warmup_trim_s},
+      {"sampler.ramp_tau_s", config.sampler.ramp_tau_s},
+      {"sampler.noise_sigma_w", config.sampler.noise_sigma_w},
+      {"variation.sigma_fraction",
+       config.variation ? config.variation->sigma_fraction : 0.0}};
+  for (const auto& [field, value] : keyed) {
+    if (!std::isfinite(value)) {
+      return std::string(field) + "=" + format_exact(value) +
+             " must be finite";
+    }
+  }
+  return {};
+}
 
 gpupower::gpusim::SimOptions replica_sim_options(const ExperimentConfig& config,
                                                  int seed_index) {

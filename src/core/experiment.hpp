@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -35,6 +36,23 @@ struct ExperimentConfig {
     return dtype == gpupower::numeric::DType::kFP16T ? 20000 : 10000;
   }
 };
+
+/// Accepted ranges of the ExperimentConfig fields.  validate_experiment_config
+/// is their one check; the GPUPOWER_* knobs and gpowerctl's flags
+/// (core/env.hpp) use the same bounds, so a config is submittable iff it is
+/// reachable through the knobs.
+inline constexpr std::size_t kMinN = 64;
+inline constexpr std::size_t kMaxN = 65536;
+inline constexpr int kMaxSeeds = 10000;
+inline constexpr std::size_t kMaxIterations = 1000000000;
+inline constexpr std::size_t kMaxTiles = 1000000;
+
+/// Empty when every field is in range, else the first problem (e.g.
+/// "seeds=0 out of range [1, 10000]").  The spec parser, the config
+/// builders and every scenario kind's validator (so ExperimentEngine::submit)
+/// share it.
+[[nodiscard]] std::string validate_experiment_config(
+    const ExperimentConfig& config);
 
 struct ExperimentResult {
   double power_w = 0.0;        ///< mean of per-seed DCGM-style averages

@@ -1,14 +1,15 @@
 #include "core/fleet_experiment.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/stats.hpp"
-#include "core/config_builder.hpp"
 #include "gpusim/dvfs/dsl_util.hpp"
 #include "gpusim/simulator.hpp"
 #include "patterns/rng.hpp"
@@ -18,8 +19,6 @@ namespace {
 
 namespace dvfs = gpupower::gpusim::dvfs;
 namespace fleet = gpupower::gpusim::fleet;
-
-using dvfs::detail::format_exact;
 
 /// The timeline whose phases reference the largest pattern index — the one
 /// replica_activity_variants validates the variant table against.
@@ -51,6 +50,10 @@ double quantile(std::vector<double> values, double q) {
 }  // namespace
 
 std::string validate_fleet_config(const FleetConfig& config) {
+  if (std::string problem = validate_experiment_config(config.experiment);
+      !problem.empty()) {
+    return problem;
+  }
   if (config.devices.empty()) return "fleet has no devices";
   if (config.timelines.empty()) return "fleet has no timelines";
   for (std::size_t i = 0; i < config.timelines.size(); ++i) {
@@ -74,16 +77,35 @@ std::string validate_fleet_config(const FleetConfig& config) {
              std::to_string(config.timelines.size()) +
              " timeline(s) are configured";
     }
+    if (std::string problem =
+            dvfs::validate_governor(config.devices[i].governor);
+        !problem.empty()) {
+      return "device " + std::to_string(i) + " governor: " + problem;
+    }
   }
-  if (config.slice_s <= 0.0) return "slice_s must be > 0";
-  if (config.pstates < 1 || config.pstates > 16) {
-    return "pstates must be in [1, 16], got " +
-           std::to_string(config.pstates);
+  if (std::string problem =
+          validate_replay_knobs(config.slice_s, config.pstates);
+      !problem.empty()) {
+    return problem;
   }
   if (!(config.allocator.cap_w > 0.0)) {
     return "allocator cap must be positive (infinity = uncapped)";
   }
   if (config.thermal.enabled) {
+    // The key carries these only when enabled, and prints a non-finite
+    // double as JSON null, so each must be finite.
+    const std::pair<const char*, double> keyed[] = {
+        {"ambient_c", config.thermal.ambient_c},
+        {"tau_s", config.thermal.tau_s},
+        {"trip_c", config.thermal.trip_c},
+        {"release_c", config.thermal.release_c},
+        {"initial_c", config.thermal.initial_c}};
+    for (const auto& [field, value] : keyed) {
+      if (!std::isfinite(value)) {
+        return "thermal." + std::string(field) + "=" +
+               dvfs::detail::format_exact(value) + " must be finite";
+      }
+    }
     if (!(config.thermal.tau_s > 0.0)) return "thermal tau must be > 0";
     if (!(config.thermal.trip_c > config.thermal.release_c)) {
       return "thermal trip temperature must exceed the release temperature "
@@ -241,43 +263,6 @@ FleetResult reduce_fleet_replicas(
   }
   if (!replicas.empty()) result.trace = replicas.front();
   return result;
-}
-
-std::string canonical_fleet_key(const FleetConfig& config) {
-  std::string key = canonical_config_key(config.experiment);
-  key += "|alloc=" +
-         std::to_string(static_cast<int>(config.allocator.policy)) + ":" +
-         format_exact(config.allocator.cap_w);
-  key += "|thermal=";
-  if (config.thermal.enabled) {
-    key += format_exact(config.thermal.ambient_c) + ":" +
-           format_exact(config.thermal.tau_s) + ":" +
-           format_exact(config.thermal.trip_c) + ":" +
-           format_exact(config.thermal.release_c) + ":" +
-           std::to_string(config.thermal.throttle_pstate) + ":" +
-           format_exact(config.thermal.initial_c);
-  } else {
-    key += "off";
-  }
-  key += "|slice=" + format_exact(config.slice_s);
-  key += "|pstates=" + std::to_string(config.pstates);
-  for (const dvfs::WorkloadTimeline& timeline : config.timelines) {
-    key += "|tl=" + canonical_timeline_key(timeline);
-  }
-  for (const FleetDeviceConfig& device : config.devices) {
-    key += "|dev=";
-    key += gpupower::gpusim::name(device.gpu);
-    key += ':';
-    key += canonical_governor_key(device.governor);
-    key += ':';
-    key += std::to_string(device.timeline);
-    key += ':';
-    key += std::to_string(device.priority);
-  }
-  for (const PatternSpec& pattern : config.phase_patterns) {
-    key += "|pp=" + pattern_raw_key(pattern);
-  }
-  return key;
 }
 
 }  // namespace gpupower::core

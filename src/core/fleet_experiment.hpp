@@ -109,15 +109,13 @@ struct FleetResult {
     const FleetConfig& config,
     std::span<const gpupower::gpusim::fleet::FleetRun> replicas);
 
-/// Cache key, same contract as canonical_config_key: equal keys produce
-/// bit-identical FleetResults.
-[[nodiscard]] std::string canonical_fleet_key(const FleetConfig& config);
-
-/// Validates the cross-references a hand-assembled config can get wrong
-/// (devices present, timeline indices in range, phase-pattern references
-/// resolvable, slice/cap/pstates in range).  Returns an empty string when
-/// valid, else the first problem — shared by run_fleet_seed_replica and
-/// the scenario registry's fleet validator.
+/// Validates a fleet config: the working point
+/// (validate_experiment_config), then the cross-references a hand-assembled
+/// config can get wrong (devices present, timeline indices in range,
+/// phase-pattern references resolvable) and the slice/pstates/cap/thermal
+/// ranges.  Returns an empty string when valid, else the first problem —
+/// shared by FleetConfigBuilder, run_fleet_seed_replica and the scenario
+/// registry's fleet validator.
 [[nodiscard]] std::string validate_fleet_config(const FleetConfig& config);
 
 }  // namespace gpupower::core

@@ -3,11 +3,14 @@
 #include <cctype>
 #include <charconv>
 #include <map>
-#include <sstream>
 #include <vector>
+
+#include "gpusim/dvfs/dsl_util.hpp"
 
 namespace gpupower::core {
 namespace {
+
+using gpupower::gpusim::dvfs::detail::format_exact;
 
 struct Arg {
   std::string key;  ///< empty for positional
@@ -287,62 +290,61 @@ ParseResult parse_pattern(std::string_view text) {
 }
 
 std::string to_dsl(const PatternSpec& spec) {
-  std::ostringstream ss;
+  std::string out;
   switch (spec.value) {
     case PatternSpec::Value::kGaussian:
-      ss << "gaussian(mean=" << spec.mean;
-      if (spec.sigma >= 0.0) ss << ", sigma=" << spec.sigma;
-      ss << ")";
+      out = "gaussian(mean=" + format_exact(spec.mean);
       break;
     case PatternSpec::Value::kValueSet:
-      ss << "set(size=" << spec.set_size << ", mean=" << spec.mean;
-      if (spec.sigma >= 0.0) ss << ", sigma=" << spec.sigma;
-      ss << ")";
+      out = "set(size=" + std::to_string(spec.set_size) +
+            ", mean=" + format_exact(spec.mean);
       break;
     case PatternSpec::Value::kConstant:
-      ss << "constant(mean=" << spec.mean;
-      if (spec.sigma >= 0.0) ss << ", sigma=" << spec.sigma;
-      ss << ")";
+      out = "constant(mean=" + format_exact(spec.mean);
       break;
   }
+  if (spec.sigma >= 0.0) out += ", sigma=" + format_exact(spec.sigma);
+  out += ")";
   switch (spec.place) {
     case PatternSpec::Place::kNone:
       break;
     case PatternSpec::Place::kSortRows:
-      ss << " | sort_rows(" << spec.sort_percent << "%)";
+      out += " | sort_rows(" + format_exact(spec.sort_percent) + "%)";
       break;
     case PatternSpec::Place::kSortColumns:
-      ss << " | sort_cols(" << spec.sort_percent << "%)";
+      out += " | sort_cols(" + format_exact(spec.sort_percent) + "%)";
       break;
     case PatternSpec::Place::kSortWithinRows:
-      ss << " | sort_within_rows(" << spec.sort_percent << "%)";
+      out += " | sort_within_rows(" + format_exact(spec.sort_percent) + "%)";
       break;
     case PatternSpec::Place::kFullSort:
-      ss << " | full_sort()";
+      out += " | full_sort()";
       break;
   }
-  if (spec.sparsity > 0.0) ss << " | sparsity(" << spec.sparsity << ")";
+  if (spec.sparsity > 0.0) {
+    out += " | sparsity(" + format_exact(spec.sparsity) + ")";
+  }
   switch (spec.bitop) {
     case PatternSpec::BitOp::kNone:
       break;
     case PatternSpec::BitOp::kFlipRandom:
-      ss << " | flip_bits(" << spec.bit_fraction << ")";
+      out += " | flip_bits(" + format_exact(spec.bit_fraction) + ")";
       break;
     case PatternSpec::BitOp::kRandomizeLow:
-      ss << " | rand_lsb(" << spec.bit_fraction << ")";
+      out += " | rand_lsb(" + format_exact(spec.bit_fraction) + ")";
       break;
     case PatternSpec::BitOp::kRandomizeHigh:
-      ss << " | rand_msb(" << spec.bit_fraction << ")";
+      out += " | rand_msb(" + format_exact(spec.bit_fraction) + ")";
       break;
     case PatternSpec::BitOp::kZeroLow:
-      ss << " | zero_lsb(" << spec.bit_fraction << ")";
+      out += " | zero_lsb(" + format_exact(spec.bit_fraction) + ")";
       break;
     case PatternSpec::BitOp::kZeroHigh:
-      ss << " | zero_msb(" << spec.bit_fraction << ")";
+      out += " | zero_msb(" + format_exact(spec.bit_fraction) + ")";
       break;
   }
-  if (!spec.transpose_b) ss << " | no_transpose()";
-  return ss.str();
+  if (!spec.transpose_b) out += " | no_transpose()";
+  return out;
 }
 
 }  // namespace gpupower::core

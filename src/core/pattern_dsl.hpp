@@ -41,8 +41,9 @@ struct ParseResult {
 /// result carries a human-readable message and position.
 [[nodiscard]] ParseResult parse_pattern(std::string_view text);
 
-/// Serialises a spec back into canonical DSL (parse(to_dsl(s)) == s for all
-/// representable specs — the round-trip property the tests pin).
+/// Serialises a spec back into canonical DSL with exact numbers:
+/// parse(to_dsl(s)) == s, bit for bit, for every spec the parser accepts —
+/// the display form and the spec-document form are one string.
 [[nodiscard]] std::string to_dsl(const PatternSpec& spec);
 
 }  // namespace gpupower::core

@@ -1,7 +1,6 @@
 #include "core/pattern_spec.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "numeric/bits.hpp"
 #include "patterns/bitops.hpp"
@@ -85,59 +84,6 @@ void apply_bitop(const PatternSpec& spec, gemm::Matrix<T>& m,
 }
 
 }  // namespace
-
-std::string PatternSpec::describe() const {
-  std::ostringstream ss;
-  switch (value) {
-    case Value::kGaussian:
-      ss << "gaussian(mean=" << mean << ",sigma=" << sigma << ")";
-      break;
-    case Value::kValueSet:
-      ss << "value_set(" << set_size << ")";
-      break;
-    case Value::kConstant:
-      ss << "constant";
-      break;
-  }
-  switch (place) {
-    case Place::kNone:
-      break;
-    case Place::kSortRows:
-      ss << "+sort_rows(" << sort_percent << "%)";
-      break;
-    case Place::kSortColumns:
-      ss << "+sort_cols(" << sort_percent << "%)";
-      break;
-    case Place::kSortWithinRows:
-      ss << "+sort_within_rows(" << sort_percent << "%)";
-      break;
-    case Place::kFullSort:
-      ss << "+full_sort";
-      break;
-  }
-  if (sparsity > 0.0) ss << "+sparsity(" << sparsity * 100.0 << "%)";
-  switch (bitop) {
-    case BitOp::kNone:
-      break;
-    case BitOp::kFlipRandom:
-      ss << "+flip(" << bit_fraction << ")";
-      break;
-    case BitOp::kRandomizeLow:
-      ss << "+rand_lsb(" << bit_fraction << ")";
-      break;
-    case BitOp::kRandomizeHigh:
-      ss << "+rand_msb(" << bit_fraction << ")";
-      break;
-    case BitOp::kZeroLow:
-      ss << "+zero_lsb(" << bit_fraction << ")";
-      break;
-    case BitOp::kZeroHigh:
-      ss << "+zero_msb(" << bit_fraction << ")";
-      break;
-  }
-  if (!transpose_b) ss << "+b_not_transposed";
-  return ss.str();
-}
 
 template <typename T>
 ExperimentInputs<T> build_inputs(const PatternSpec& spec,

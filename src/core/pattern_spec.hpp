@@ -55,8 +55,6 @@ struct PatternSpec {
 
   /// B consumed transposed (paper default).  Fig. 5a/5c run untransposed.
   bool transpose_b = true;
-
-  [[nodiscard]] std::string describe() const;
 };
 
 /// Typed experiment inputs plus the Fig. 8 input statistics.

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/config_builder.hpp"
 #include "core/report.hpp"
 
 namespace gpupower::core {
@@ -32,21 +31,10 @@ std::vector<Replica> take_replicas(std::span<ScenarioReplica> replicas) {
   return typed;
 }
 
-std::string validate_seeds(int seeds) {
-  if (seeds <= 0) {
-    return "experiment.seeds must be >= 1, got " + std::to_string(seeds);
-  }
-  return {};
-}
-
 // --- static experiment hooks -----------------------------------------------
 
 std::string static_validate(const ScenarioConfig& config) {
-  return validate_seeds(config.static_config().seeds);
-}
-
-std::string static_key(const ScenarioConfig& config) {
-  return canonical_config_key(config.static_config());
+  return validate_experiment_config(config.static_config());
 }
 
 ScenarioReplica static_replica(const ScenarioConfig& config, int seed_index) {
@@ -67,13 +55,7 @@ analysis::JsonValue static_json(const ScenarioConfig& config,
 // --- DVFS hooks ------------------------------------------------------------
 
 std::string dvfs_validate(const ScenarioConfig& config) {
-  const std::string seeds = validate_seeds(config.dvfs().experiment.seeds);
-  if (!seeds.empty()) return seeds;
   return validate_dvfs_config(config.dvfs());
-}
-
-std::string dvfs_key(const ScenarioConfig& config) {
-  return canonical_dvfs_key(config.dvfs());
 }
 
 ScenarioReplica dvfs_replica(const ScenarioConfig& config, int seed_index) {
@@ -95,13 +77,7 @@ analysis::JsonValue dvfs_json(const ScenarioConfig& config,
 // --- fleet hooks -----------------------------------------------------------
 
 std::string fleet_validate(const ScenarioConfig& config) {
-  const std::string seeds = validate_seeds(config.fleet().experiment.seeds);
-  if (!seeds.empty()) return seeds;
   return validate_fleet_config(config.fleet());
-}
-
-std::string fleet_key(const ScenarioConfig& config) {
-  return canonical_fleet_key(config.fleet());
 }
 
 ScenarioReplica fleet_replica(const ScenarioConfig& config, int seed_index) {
@@ -585,14 +561,12 @@ bool fleet_result_parse(const JsonValue& doc, ScenarioResult& out,
 }
 
 constexpr ScenarioKindInfo kRegistry[kScenarioKindCount] = {
-    {ScenarioKind::kStatic, "static", &static_validate, &static_key,
-     &static_replica, &static_reduce, &static_json, &static_result_json,
-     &static_result_parse},
-    {ScenarioKind::kDvfs, "dvfs", &dvfs_validate, &dvfs_key, &dvfs_replica,
-     &dvfs_reduce, &dvfs_json, &dvfs_result_json, &dvfs_result_parse},
-    {ScenarioKind::kFleet, "fleet", &fleet_validate, &fleet_key,
-     &fleet_replica, &fleet_reduce, &fleet_json, &fleet_result_json,
-     &fleet_result_parse},
+    {ScenarioKind::kStatic, "static", &static_validate, &static_replica,
+     &static_reduce, &static_json, &static_result_json, &static_result_parse},
+    {ScenarioKind::kDvfs, "dvfs", &dvfs_validate, &dvfs_replica, &dvfs_reduce,
+     &dvfs_json, &dvfs_result_json, &dvfs_result_parse},
+    {ScenarioKind::kFleet, "fleet", &fleet_validate, &fleet_replica,
+     &fleet_reduce, &fleet_json, &fleet_result_json, &fleet_result_parse},
 };
 
 }  // namespace
@@ -671,14 +645,6 @@ const ScenarioKindInfo& scenario_kind_info(ScenarioKind kind) noexcept {
 
 std::string validate_scenario(const ScenarioConfig& config) {
   return scenario_kind_info(config.kind()).validate(config);
-}
-
-std::string canonical_scenario_key(const ScenarioConfig& config) {
-  const ScenarioKindInfo& info = scenario_kind_info(config.kind());
-  // '\x1f' (unit separator) cannot appear in a kind name, so keys of
-  // different kinds can never collide even if a kind's key embedded
-  // another kind's spelling.
-  return std::string(info.name) + '\x1f' + info.canonical_key(config);
 }
 
 ScenarioResult run_scenario(const ScenarioConfig& config) {

@@ -1,13 +1,13 @@
 // ScenarioConfig: the type-erased submission unit of the experiment engine.
-// The engine grew three parallel families — classic static experiments,
-// DVFS timeline replays, and power-capped fleets — each with its own
-// handle, cache key, validator, and JSON exporter.  A ScenarioConfig wraps
-// any of them behind one type, and a registry of ScenarioKindInfo
-// descriptors carries the per-kind hooks (validate, canonical cache key,
-// per-seed replica runner, in-seed-order reduction, JSON export), so the
-// engine, the spec front end (core/spec.hpp), and the CLI dispatch through
-// exactly one code path.  Adding a scenario kind means adding one variant
-// alternative and one descriptor row — not re-plumbing seven layers.
+// It wraps any of the three scenario families — classic static
+// experiments, DVFS timeline replays, and power-capped fleets — behind one
+// type, and a registry of ScenarioKindInfo descriptors carries the per-kind
+// hooks (validate, per-seed replica runner, in-seed-order reduction, JSON
+// export), so the engine, the spec front end (core/spec.hpp), and the CLI
+// dispatch through exactly one code path.  The cache key needs no hook: it
+// is the kind's spec document (spec_to_json), normalised — see
+// canonical_scenario_key.  Adding a scenario kind means adding one variant
+// alternative, one descriptor row, and its spec serialisation.
 #pragma once
 
 #include <span>
@@ -113,9 +113,6 @@ struct ScenarioKindInfo {
   /// Empty string when the config is submittable; else the first problem
   /// (the engine throws std::invalid_argument with it).
   std::string (*validate)(const ScenarioConfig&) = nullptr;
-  /// Canonical cache key within the kind; the engine prefixes the kind
-  /// name, so keys of different kinds can never collide.
-  std::string (*canonical_key)(const ScenarioConfig&) = nullptr;
   ScenarioReplica (*run_replica)(const ScenarioConfig&, int seed_index) =
       nullptr;
   /// Consumes the replica slots (they are moved from), folding in seed
@@ -147,7 +144,18 @@ struct ScenarioKindInfo {
 /// Empty when submittable, else the first problem.
 [[nodiscard]] std::string validate_scenario(const ScenarioConfig& config);
 
-/// Kind-prefixed canonical key: equal keys produce bit-identical results.
+/// The cache and store key: `<kind>\x1f` + the compact dump of the
+/// config's spec document (spec_to_json) in normalised form, so equal keys
+/// produce bit-identical results and configs that only differ in ways no
+/// result can see share one key:
+///   - a pattern's paper-default sigma (< 0) resolves to 210 (phase
+///     patterns too);
+///   - iterations resolve to effective_iterations(); dvfs and fleet drop
+///     iterations and the sampler, which neither kind reads;
+///   - a disabled thermal block keys as {"enabled":false};
+///   - a timeline of more than 64 phases keys as "#<count>:<fnv1a>", a
+///     digest of its raw phase fields (a burst DSL can realise ~2M phases).
+/// Defined in core/spec.cpp beside the serialiser it normalises.
 [[nodiscard]] std::string canonical_scenario_key(const ScenarioConfig& config);
 
 /// The one serial reference: every seed replica in order, reduced through

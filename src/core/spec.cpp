@@ -1,7 +1,8 @@
 #include "core/spec.hpp"
 
 #include <cctype>
-#include <cstdio>
+#include <cmath>
+#include <cstring>
 #include <fstream>
 #include <initializer_list>
 #include <limits>
@@ -18,13 +19,11 @@
 #include "core/obs/obs.hpp"
 #include "core/pattern_dsl.hpp"
 #include "gpusim/device.hpp"
-#include "gpusim/dvfs/dsl_util.hpp"
 
 namespace gpupower::core {
 namespace {
 
 using analysis::JsonValue;
-using gpupower::gpusim::dvfs::detail::format_exact;
 namespace dvfs = gpupower::gpusim::dvfs;
 namespace fleet = gpupower::gpusim::fleet;
 
@@ -32,65 +31,22 @@ namespace fleet = gpupower::gpusim::fleet;
 /// plan (the engine would happily chew through them for hours).
 constexpr std::size_t kMaxCampaignPoints = 4096;
 
-struct Ctx {
-  std::string error;
-
-  bool fail(std::string_view path, std::string_view message) {
-    if (error.empty()) {
-      error = path.empty() ? std::string(message)
-                           : std::string(path) + ": " + std::string(message);
-    }
-    return false;
-  }
-};
+using detail::check_keys;
+using detail::read_number;
+using detail::read_string;
+using Ctx = detail::SpecCtx;
 
 std::string join_path(std::string_view parent, std::string_view key) {
   if (parent.empty()) return std::string(key);
   return std::string(parent) + "." + std::string(key);
 }
 
-bool check_keys(const JsonValue& obj, std::string_view path,
-                std::initializer_list<std::string_view> allowed, Ctx& ctx) {
-  for (const std::string& key : obj.keys()) {
-    bool known = false;
-    for (const std::string_view candidate : allowed) {
-      if (key == candidate) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::string expected;
-      for (const std::string_view candidate : allowed) {
-        if (!expected.empty()) expected += ", ";
-        expected += candidate;
-      }
-      return ctx.fail(path.empty() ? "spec" : path,
-                      "unknown key '" + key + "' (expected one of: " +
-                          expected + ")");
-    }
-  }
-  return true;
-}
-
-bool read_string(const JsonValue& v, std::string_view path, Ctx& ctx,
-                 std::string& out) {
-  if (!v.is_string()) return ctx.fail(path, "expected a string");
-  out = v.as_string();
-  return true;
-}
-
-bool read_number(const JsonValue& v, std::string_view path, Ctx& ctx,
-                 double& out) {
-  if (!v.is_number()) return ctx.fail(path, "expected a number");
-  out = v.as_number();
-  return true;
-}
-
-bool read_int(const JsonValue& v, std::string_view path, Ctx& ctx,
+bool read_int(const JsonValue* v, std::string_view path, Ctx& ctx,
               long long& out) {
-  if (!v.is_number()) return ctx.fail(path, "expected an integer");
-  const double value = v.as_number();
+  if (v == nullptr || !v->is_number()) {
+    return ctx.fail(path, "expected an integer");
+  }
+  const double value = v->as_number();
   // Range-check before the cast: float-to-integer conversion outside the
   // target range is undefined behaviour, so a spec saying 1e300 must be
   // rejected here, not by whatever the hardware happens to produce.
@@ -105,9 +61,24 @@ bool read_int(const JsonValue& v, std::string_view path, Ctx& ctx,
   return true;
 }
 
+/// read_int for a count held in a `std::size_t` (n, iterations, tiles): a
+/// negative value is rejected here, as written, instead of wrapping to
+/// ~2^64 in the cast.  Upper bounds are validate_experiment_config's.
+bool read_size(const JsonValue* v, std::string_view path, Ctx& ctx,
+               std::size_t& out) {
+  long long value = 0;
+  if (!read_int(v, path, ctx, value)) return false;
+  if (value < 0) {
+    return ctx.fail(path, "integer " + std::to_string(value) +
+                              " out of range (must be >= 0)");
+  }
+  out = static_cast<std::size_t>(value);
+  return true;
+}
+
 /// read_int narrowed to `int`: values outside the int range are rejected
 /// here, naming the key, instead of wrapping in the cast.
-bool read_int32(const JsonValue& v, std::string_view path, Ctx& ctx,
+bool read_int32(const JsonValue* v, std::string_view path, Ctx& ctx,
                 int& out) {
   long long value = 0;
   if (!read_int(v, path, ctx, value)) return false;
@@ -124,10 +95,11 @@ bool read_int32(const JsonValue& v, std::string_view path, Ctx& ctx,
   return true;
 }
 
-bool read_bool(const JsonValue& v, std::string_view path, Ctx& ctx,
+bool read_bool(const JsonValue* v, std::string_view path, Ctx& ctx,
                bool& out) {
-  const bool fallback_true = v.as_boolean(true);
-  const bool fallback_false = v.as_boolean(false);
+  if (v == nullptr) return ctx.fail(path, "expected true or false");
+  const bool fallback_true = v->as_boolean(true);
+  const bool fallback_false = v->as_boolean(false);
   if (fallback_true != fallback_false) {
     return ctx.fail(path, "expected true or false");
   }
@@ -192,71 +164,6 @@ std::string_view dtype_key(gpupower::numeric::DType dtype) {
   return "fp32";
 }
 
-// --- exact pattern serialisation --------------------------------------------
-
-/// to_dsl mirrors the pattern structure but prints at ostream (~6 digit)
-/// precision — fine for display, lossy for round-trips.  Spec documents
-/// need parse(dump(config)) to reproduce the exact canonical key, so this
-/// serialiser emits every scalar at full %.17g precision (the DSL parser
-/// reads doubles with from_chars, so exponent forms parse fine).
-std::string exact_pattern_dsl(const PatternSpec& spec) {
-  std::string out;
-  switch (spec.value) {
-    case PatternSpec::Value::kGaussian:
-      out = "gaussian(mean=" + format_exact(spec.mean);
-      break;
-    case PatternSpec::Value::kValueSet:
-      out = "set(size=" + std::to_string(spec.set_size) +
-            ", mean=" + format_exact(spec.mean);
-      break;
-    case PatternSpec::Value::kConstant:
-      out = "constant(mean=" + format_exact(spec.mean);
-      break;
-  }
-  if (spec.sigma >= 0.0) out += ", sigma=" + format_exact(spec.sigma);
-  out += ")";
-  switch (spec.place) {
-    case PatternSpec::Place::kNone:
-      break;
-    case PatternSpec::Place::kSortRows:
-      out += " | sort_rows(" + format_exact(spec.sort_percent) + "%)";
-      break;
-    case PatternSpec::Place::kSortColumns:
-      out += " | sort_cols(" + format_exact(spec.sort_percent) + "%)";
-      break;
-    case PatternSpec::Place::kSortWithinRows:
-      out += " | sort_within_rows(" + format_exact(spec.sort_percent) + "%)";
-      break;
-    case PatternSpec::Place::kFullSort:
-      out += " | full_sort()";
-      break;
-  }
-  if (spec.sparsity > 0.0) {
-    out += " | sparsity(" + format_exact(spec.sparsity) + ")";
-  }
-  switch (spec.bitop) {
-    case PatternSpec::BitOp::kNone:
-      break;
-    case PatternSpec::BitOp::kFlipRandom:
-      out += " | flip_bits(" + format_exact(spec.bit_fraction) + ")";
-      break;
-    case PatternSpec::BitOp::kRandomizeLow:
-      out += " | rand_lsb(" + format_exact(spec.bit_fraction) + ")";
-      break;
-    case PatternSpec::BitOp::kRandomizeHigh:
-      out += " | rand_msb(" + format_exact(spec.bit_fraction) + ")";
-      break;
-    case PatternSpec::BitOp::kZeroLow:
-      out += " | zero_lsb(" + format_exact(spec.bit_fraction) + ")";
-      break;
-    case PatternSpec::BitOp::kZeroHigh:
-      out += " | zero_msb(" + format_exact(spec.bit_fraction) + ")";
-      break;
-  }
-  if (!spec.transpose_b) out += " | no_transpose()";
-  return out;
-}
-
 // --- experiment block -------------------------------------------------------
 
 bool parse_experiment(const JsonValue* obj, std::string_view path, Ctx& ctx,
@@ -272,7 +179,7 @@ bool parse_experiment(const JsonValue* obj, std::string_view path, Ctx& ctx,
     }
     if (const JsonValue* v = obj->find("gpu")) {
       std::string text;
-      if (!read_string(*v, join_path(path, "gpu"), ctx, text)) return false;
+      if (!read_string(v, join_path(path, "gpu"), ctx, text)) return false;
       gpupower::gpusim::GpuModel model;
       if (!parse_gpu(text, model)) {
         return ctx.fail(join_path(path, "gpu"),
@@ -283,34 +190,34 @@ bool parse_experiment(const JsonValue* obj, std::string_view path, Ctx& ctx,
     }
     if (const JsonValue* v = obj->find("dtype")) {
       std::string text;
-      if (!read_string(*v, join_path(path, "dtype"), ctx, text)) return false;
+      if (!read_string(v, join_path(path, "dtype"), ctx, text)) return false;
       builder.dtype(text);
     }
     if (const JsonValue* v = obj->find("n")) {
-      long long n = 0;
-      if (!read_int(*v, join_path(path, "n"), ctx, n)) return false;
-      builder.n(static_cast<std::size_t>(n));
+      std::size_t n = 0;
+      if (!read_size(v, join_path(path, "n"), ctx, n)) return false;
+      builder.n(n);
     }
     if (const JsonValue* v = obj->find("seeds")) {
       int seeds = 0;
-      if (!read_int32(*v, join_path(path, "seeds"), ctx, seeds)) return false;
+      if (!read_int32(v, join_path(path, "seeds"), ctx, seeds)) return false;
       builder.seeds(seeds);
     }
     if (const JsonValue* v = obj->find("iterations")) {
-      long long iterations = 0;
-      if (!read_int(*v, join_path(path, "iterations"), ctx, iterations)) {
+      std::size_t iterations = 0;
+      if (!read_size(v, join_path(path, "iterations"), ctx, iterations)) {
         return false;
       }
-      builder.iterations(static_cast<std::size_t>(iterations));
+      builder.iterations(iterations);
     }
     if (const JsonValue* v = obj->find("base_seed")) {
       long long seed = 0;
-      if (!read_int(*v, join_path(path, "base_seed"), ctx, seed)) return false;
+      if (!read_int(v, join_path(path, "base_seed"), ctx, seed)) return false;
       builder.base_seed(static_cast<std::uint64_t>(seed));
     }
     if (const JsonValue* v = obj->find("pattern")) {
       std::string dsl;
-      if (!read_string(*v, join_path(path, "pattern"), ctx, dsl)) return false;
+      if (!read_string(v, join_path(path, "pattern"), ctx, dsl)) return false;
       builder.pattern(dsl);
     }
     if (const JsonValue* v = obj->find("sampling")) {
@@ -322,21 +229,20 @@ bool parse_experiment(const JsonValue* obj, std::string_view path, Ctx& ctx,
       }
       gpupower::gpusim::SamplingPlan plan;
       if (const JsonValue* f = v->find("tiles")) {
-        long long tiles = 0;
-        if (!read_int(*f, join_path(sampling_path, "tiles"), ctx, tiles)) {
+        if (!read_size(f, join_path(sampling_path, "tiles"), ctx,
+                       plan.max_tiles)) {
           return false;
         }
-        plan.max_tiles = static_cast<std::size_t>(tiles);
       }
       if (const JsonValue* f = v->find("k_fraction")) {
-        if (!read_number(*f, join_path(sampling_path, "k_fraction"), ctx,
+        if (!read_number(f, join_path(sampling_path, "k_fraction"), ctx,
                          plan.k_fraction)) {
           return false;
         }
       }
       if (const JsonValue* f = v->find("seed")) {
         long long seed = 0;
-        if (!read_int(*f, join_path(sampling_path, "seed"), ctx, seed)) {
+        if (!read_int(f, join_path(sampling_path, "seed"), ctx, seed)) {
           return false;
         }
         plan.seed = static_cast<std::uint64_t>(seed);
@@ -348,41 +254,34 @@ bool parse_experiment(const JsonValue* obj, std::string_view path, Ctx& ctx,
       if (!v->is_object()) return ctx.fail(sampler_path, "expected an object");
       if (!check_keys(*v, sampler_path,
                       {"period_s", "warmup_trim_s", "ramp_tau_s",
-                       "noise_sigma_w", "seed"},
+                       "noise_sigma_w"},
                       ctx)) {
         return false;
       }
       telemetry::SamplerConfig sampler;
       if (const JsonValue* f = v->find("period_s")) {
-        if (!read_number(*f, join_path(sampler_path, "period_s"), ctx,
+        if (!read_number(f, join_path(sampler_path, "period_s"), ctx,
                          sampler.period_s)) {
           return false;
         }
       }
       if (const JsonValue* f = v->find("warmup_trim_s")) {
-        if (!read_number(*f, join_path(sampler_path, "warmup_trim_s"), ctx,
+        if (!read_number(f, join_path(sampler_path, "warmup_trim_s"), ctx,
                          sampler.warmup_trim_s)) {
           return false;
         }
       }
       if (const JsonValue* f = v->find("ramp_tau_s")) {
-        if (!read_number(*f, join_path(sampler_path, "ramp_tau_s"), ctx,
+        if (!read_number(f, join_path(sampler_path, "ramp_tau_s"), ctx,
                          sampler.ramp_tau_s)) {
           return false;
         }
       }
       if (const JsonValue* f = v->find("noise_sigma_w")) {
-        if (!read_number(*f, join_path(sampler_path, "noise_sigma_w"), ctx,
+        if (!read_number(f, join_path(sampler_path, "noise_sigma_w"), ctx,
                          sampler.noise_sigma_w)) {
           return false;
         }
-      }
-      if (const JsonValue* f = v->find("seed")) {
-        long long seed = 0;
-        if (!read_int(*f, join_path(sampler_path, "seed"), ctx, seed)) {
-          return false;
-        }
-        sampler.seed = static_cast<std::uint64_t>(seed);
       }
       builder.sampler(sampler);
     }
@@ -397,21 +296,21 @@ bool parse_experiment(const JsonValue* obj, std::string_view path, Ctx& ctx,
       }
       gpupower::gpusim::ProcessVariation variation;
       if (const JsonValue* f = v->find("sigma_fraction")) {
-        if (!read_number(*f, join_path(variation_path, "sigma_fraction"), ctx,
+        if (!read_number(f, join_path(variation_path, "sigma_fraction"), ctx,
                          variation.sigma_fraction)) {
           return false;
         }
       }
       if (const JsonValue* f = v->find("instance")) {
         long long instance = 0;
-        if (!read_int(*f, join_path(variation_path, "instance"), ctx,
+        if (!read_int(f, join_path(variation_path, "instance"), ctx,
                       instance)) {
           return false;
         }
         variation.instance = static_cast<std::uint64_t>(instance);
       }
       if (const JsonValue* f = v->find("per_seed")) {
-        if (!read_bool(*f, join_path(variation_path, "per_seed"), ctx,
+        if (!read_bool(f, join_path(variation_path, "per_seed"), ctx,
                        variation.per_seed)) {
           return false;
         }
@@ -452,7 +351,7 @@ bool parse_governor_field(const JsonValue& v, std::string_view path, Ctx& ctx,
   dvfs::GovernorConfig config;
   if (const JsonValue* f = v.find("policy")) {
     std::string policy;
-    if (!read_string(*f, join_path(path, "policy"), ctx, policy)) return false;
+    if (!read_string(f, join_path(path, "policy"), ctx, policy)) return false;
     if (policy == "fixed") {
       config.policy = dvfs::GovernorConfig::Policy::kFixed;
     } else if (policy == "utilization") {
@@ -466,30 +365,30 @@ bool parse_governor_field(const JsonValue& v, std::string_view path, Ctx& ctx,
     }
   }
   if (const JsonValue* f = v.find("fixed_pstate")) {
-    if (!read_int32(*f, join_path(path, "fixed_pstate"), ctx,
+    if (!read_int32(f, join_path(path, "fixed_pstate"), ctx,
                     config.fixed_pstate)) {
       return false;
     }
   }
   if (const JsonValue* f = v.find("boost_util")) {
-    if (!read_number(*f, join_path(path, "boost_util"), ctx,
+    if (!read_number(f, join_path(path, "boost_util"), ctx,
                      config.boost_util)) {
       return false;
     }
   }
   if (const JsonValue* f = v.find("boost_hold_s")) {
-    if (!read_number(*f, join_path(path, "boost_hold_s"), ctx,
+    if (!read_number(f, join_path(path, "boost_hold_s"), ctx,
                      config.boost_hold_s)) {
       return false;
     }
   }
   if (const JsonValue* f = v.find("low_util")) {
-    if (!read_number(*f, join_path(path, "low_util"), ctx, config.low_util)) {
+    if (!read_number(f, join_path(path, "low_util"), ctx, config.low_util)) {
       return false;
     }
   }
   if (const JsonValue* f = v.find("low_hold_s")) {
-    if (!read_number(*f, join_path(path, "low_hold_s"), ctx,
+    if (!read_number(f, join_path(path, "low_hold_s"), ctx,
                      config.low_hold_s)) {
       return false;
     }
@@ -509,40 +408,40 @@ bool parse_thermal(const JsonValue& v, std::string_view path, Ctx& ctx,
   }
   fleet::ThermalConfig config;
   if (const JsonValue* f = v.find("enabled")) {
-    if (!read_bool(*f, join_path(path, "enabled"), ctx, config.enabled)) {
+    if (!read_bool(f, join_path(path, "enabled"), ctx, config.enabled)) {
       return false;
     }
   }
   if (const JsonValue* f = v.find("ambient_c")) {
-    if (!read_number(*f, join_path(path, "ambient_c"), ctx,
+    if (!read_number(f, join_path(path, "ambient_c"), ctx,
                      config.ambient_c)) {
       return false;
     }
   }
   if (const JsonValue* f = v.find("tau_s")) {
-    if (!read_number(*f, join_path(path, "tau_s"), ctx, config.tau_s)) {
+    if (!read_number(f, join_path(path, "tau_s"), ctx, config.tau_s)) {
       return false;
     }
   }
   if (const JsonValue* f = v.find("trip_c")) {
-    if (!read_number(*f, join_path(path, "trip_c"), ctx, config.trip_c)) {
+    if (!read_number(f, join_path(path, "trip_c"), ctx, config.trip_c)) {
       return false;
     }
   }
   if (const JsonValue* f = v.find("release_c")) {
-    if (!read_number(*f, join_path(path, "release_c"), ctx,
+    if (!read_number(f, join_path(path, "release_c"), ctx,
                      config.release_c)) {
       return false;
     }
   }
   if (const JsonValue* f = v.find("throttle_pstate")) {
-    if (!read_int32(*f, join_path(path, "throttle_pstate"), ctx,
+    if (!read_int32(f, join_path(path, "throttle_pstate"), ctx,
                     config.throttle_pstate)) {
       return false;
     }
   }
   if (const JsonValue* f = v.find("initial_c")) {
-    if (!read_number(*f, join_path(path, "initial_c"), ctx,
+    if (!read_number(f, join_path(path, "initial_c"), ctx,
                      config.initial_c)) {
       return false;
     }
@@ -562,7 +461,7 @@ bool parse_phase_patterns(const JsonValue* v, std::string_view path, Ctx& ctx,
     std::string index = "[";
     index += std::to_string(i);
     index += ']';
-    if (!read_string(v->at(i), join_path(path, index), ctx, dsl)) {
+    if (!read_string(&v->at(i), join_path(path, index), ctx, dsl)) {
       return false;
     }
     out.push_back(std::move(dsl));
@@ -609,7 +508,7 @@ bool parse_dvfs(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
   }
   {
     std::string dsl;
-    if (!read_string(*timeline, "timeline", ctx, dsl)) return false;
+    if (!read_string(timeline, "timeline", ctx, dsl)) return false;
     builder.timeline(dsl);
   }
   {
@@ -622,12 +521,12 @@ bool parse_dvfs(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
   }
   if (const JsonValue* v = doc.find("slice_s")) {
     double slice = 0.0;
-    if (!read_number(*v, "slice_s", ctx, slice)) return false;
+    if (!read_number(v, "slice_s", ctx, slice)) return false;
     builder.slice(slice);
   }
   if (const JsonValue* v = doc.find("pstates")) {
     int pstates = 0;
-    if (!read_int32(*v, "pstates", ctx, pstates)) return false;
+    if (!read_int32(v, "pstates", ctx, pstates)) return false;
     builder.pstates(pstates);
   }
   if (!builder.valid()) return ctx.fail("", builder.error());
@@ -656,7 +555,7 @@ bool parse_fleet(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
     }
     for (std::size_t i = 0; i < v->size(); ++i) {
       std::string dsl;
-      if (!read_string(v->at(i), "timelines[" + std::to_string(i) + "]", ctx,
+      if (!read_string(&v->at(i), "timelines[" + std::to_string(i) + "]", ctx,
                        dsl)) {
         return false;
       }
@@ -680,7 +579,7 @@ bool parse_fleet(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
       FleetDeviceConfig device;
       if (const JsonValue* f = entry.find("gpu")) {
         std::string text;
-        if (!read_string(*f, join_path(device_path, "gpu"), ctx, text)) {
+        if (!read_string(f, join_path(device_path, "gpu"), ctx, text)) {
           return false;
         }
         if (!parse_gpu(text, device.gpu)) {
@@ -696,13 +595,13 @@ bool parse_fleet(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
         }
       }
       if (const JsonValue* f = entry.find("timeline")) {
-        if (!read_int32(*f, join_path(device_path, "timeline"), ctx,
+        if (!read_int32(f, join_path(device_path, "timeline"), ctx,
                         device.timeline)) {
           return false;
         }
       }
       if (const JsonValue* f = entry.find("priority")) {
-        if (!read_int32(*f, join_path(device_path, "priority"), ctx,
+        if (!read_int32(f, join_path(device_path, "priority"), ctx,
                         device.priority)) {
           return false;
         }
@@ -722,7 +621,7 @@ bool parse_fleet(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
       return ctx.fail("staggered.timeline", "required (a timeline DSL string)");
     }
     std::string timeline_dsl;
-    if (!read_string(*timeline, "staggered.timeline", ctx, timeline_dsl)) {
+    if (!read_string(timeline, "staggered.timeline", ctx, timeline_dsl)) {
       return false;
     }
     const auto parsed_timeline = dvfs::parse_timeline(timeline_dsl);
@@ -737,17 +636,17 @@ bool parse_fleet(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
       return ctx.fail("staggered.count", "required (device count)");
     }
     int count = 0;
-    if (!read_int32(*count_value, "staggered.count", ctx, count)) return false;
+    if (!read_int32(count_value, "staggered.count", ctx, count)) return false;
     double stagger_s = 0.0;
     if (const JsonValue* f = v->find("stagger_s")) {
-      if (!read_number(*f, "staggered.stagger_s", ctx, stagger_s)) {
+      if (!read_number(f, "staggered.stagger_s", ctx, stagger_s)) {
         return false;
       }
     }
     gpupower::gpusim::GpuModel gpu = gpupower::gpusim::GpuModel::kA100PCIe;
     if (const JsonValue* f = v->find("gpu")) {
       std::string text;
-      if (!read_string(*f, "staggered.gpu", ctx, text)) return false;
+      if (!read_string(f, "staggered.gpu", ctx, text)) return false;
       if (!parse_gpu(text, gpu)) {
         return ctx.fail("staggered.gpu",
                         "unknown gpu '" + text +
@@ -756,7 +655,7 @@ bool parse_fleet(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
     }
     std::string governor_dsl = "utilization()";
     if (const JsonValue* f = v->find("governor")) {
-      if (!read_string(*f, "staggered.governor", ctx, governor_dsl)) {
+      if (!read_string(f, "staggered.governor", ctx, governor_dsl)) {
         return false;
       }
     }
@@ -766,13 +665,13 @@ bool parse_fleet(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
   }
   if (const JsonValue* v = doc.find("allocator")) {
     std::string policy;
-    if (!read_string(*v, "allocator", ctx, policy)) return false;
+    if (!read_string(v, "allocator", ctx, policy)) return false;
     builder.allocator(policy);
   }
   if (const JsonValue* v = doc.find("cap_w")) {
     if (!v->is_null()) {  // null spells "uncapped" explicitly
       double cap = 0.0;
-      if (!read_number(*v, "cap_w", ctx, cap)) return false;
+      if (!read_number(v, "cap_w", ctx, cap)) return false;
       builder.cap(cap);
     }
   }
@@ -791,12 +690,12 @@ bool parse_fleet(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
   }
   if (const JsonValue* v = doc.find("slice_s")) {
     double slice = 0.0;
-    if (!read_number(*v, "slice_s", ctx, slice)) return false;
+    if (!read_number(v, "slice_s", ctx, slice)) return false;
     builder.slice(slice);
   }
   if (const JsonValue* v = doc.find("pstates")) {
     int pstates = 0;
-    if (!read_int32(*v, "pstates", ctx, pstates)) return false;
+    if (!read_int32(v, "pstates", ctx, pstates)) return false;
     builder.pstates(pstates);
   }
   if (!builder.valid()) return ctx.fail("", builder.error());
@@ -812,7 +711,7 @@ bool parse_single(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
                     "required (static | dvfs | fleet | campaign | dag)");
   }
   std::string kind_name;
-  if (!read_string(*scenario, "scenario", ctx, kind_name)) return false;
+  if (!read_string(scenario, "scenario", ctx, kind_name)) return false;
   if (kind_name == "campaign") {
     return ctx.fail("scenario",
                     "a campaign cannot nest inside another campaign's base");
@@ -856,7 +755,7 @@ bool parse_axis(const JsonValue& entry, std::string_view path, Ctx& ctx,
     return ctx.fail(join_path(path, "field"),
                     "required (a dotted path into the base spec)");
   }
-  if (!read_string(*field, join_path(path, "field"), ctx, out.field)) {
+  if (!read_string(field, join_path(path, "field"), ctx, out.field)) {
     return false;
   }
   if (out.field.empty()) {
@@ -873,7 +772,7 @@ bool parse_axis(const JsonValue& entry, std::string_view path, Ctx& ctx,
   }
   if (figure != nullptr) {
     std::string figure_name;
-    if (!read_string(*figure, join_path(path, "figure"), ctx, figure_name)) {
+    if (!read_string(figure, join_path(path, "figure"), ctx, figure_name)) {
       return false;
     }
     FigureId id;
@@ -904,7 +803,7 @@ bool parse_axis(const JsonValue& entry, std::string_view path, Ctx& ctx,
       }
       std::string label = value_label(*payload);
       if (const JsonValue* l = value.find("label")) {
-        if (!read_string(*l, join_path(value_path, "label"), ctx, label)) {
+        if (!read_string(l, join_path(value_path, "label"), ctx, label)) {
           return false;
         }
       }
@@ -927,10 +826,10 @@ bool parse_campaign(const JsonValue& doc, Ctx& ctx, ScenarioSpec& out) {
   }
   out.campaign = true;
   if (const JsonValue* v = doc.find("name")) {
-    if (!read_string(*v, "name", ctx, out.name)) return false;
+    if (!read_string(v, "name", ctx, out.name)) return false;
   }
   if (const JsonValue* v = doc.find("protocol")) {
-    if (!read_string(*v, "protocol", ctx, out.protocol)) return false;
+    if (!read_string(v, "protocol", ctx, out.protocol)) return false;
   }
   const JsonValue* base = doc.find("base");
   if (base == nullptr) {
@@ -1018,8 +917,29 @@ bool set_path(const JsonValue& in, std::string_view path,
 }
 
 // --- serialisation ----------------------------------------------------------
+//
+// One serialiser behind spec_to_json and canonical_scenario_key.  `key`
+// selects the normalised form the key dumps (the rules are listed at
+// canonical_scenario_key in core/scenario.hpp); every rule drops or
+// resolves only what no result can see, which test_spec pins per rule by
+// comparing run_scenario results byte for byte.
 
-JsonValue experiment_to_json(const ExperimentConfig& config) {
+/// Timelines longer than this key as a digest instead of a phase list.
+constexpr std::size_t kMaxKeyedPhases = 64;
+
+JsonValue pattern_json(const PatternSpec& pattern, bool key) {
+  if (!key || pattern.sigma >= 0.0) return JsonValue::string(to_dsl(pattern));
+  // build_inputs scales an explicit FP-domain sigma by 25/210 for INT8,
+  // which maps 210 to exactly INT8's default 25: the paper default and an
+  // explicit 210 are one scenario on every dtype.
+  PatternSpec resolved = pattern;
+  resolved.sigma =
+      gpupower::numeric::default_sigma(gpupower::numeric::DType::kFP32);
+  return JsonValue::string(to_dsl(resolved));
+}
+
+JsonValue experiment_to_json(const ExperimentConfig& config, bool key,
+                             bool replay) {
   JsonValue sampling = JsonValue::object();
   sampling
       .set("tiles",
@@ -1028,26 +948,30 @@ JsonValue experiment_to_json(const ExperimentConfig& config) {
       .set("seed", JsonValue::integer(
                        static_cast<long long>(config.sampling.seed)));
 
-  JsonValue sampler = JsonValue::object();
-  sampler.set("period_s", JsonValue::number(config.sampler.period_s))
-      .set("warmup_trim_s", JsonValue::number(config.sampler.warmup_trim_s))
-      .set("ramp_tau_s", JsonValue::number(config.sampler.ramp_tau_s))
-      .set("noise_sigma_w", JsonValue::number(config.sampler.noise_sigma_w))
-      .set("seed",
-           JsonValue::integer(static_cast<long long>(config.sampler.seed)));
-
+  // The dvfs and fleet replays read neither iterations nor the sampler.
+  const bool drop_unread = key && replay;
   JsonValue e = JsonValue::object();
   e.set("gpu", JsonValue::string(gpu_key(config.gpu)))
       .set("dtype", JsonValue::string(dtype_key(config.dtype)))
       .set("n", JsonValue::integer(static_cast<long long>(config.n)))
-      .set("seeds", JsonValue::integer(config.seeds))
-      .set("iterations",
-           JsonValue::integer(static_cast<long long>(config.iterations)))
-      .set("base_seed",
-           JsonValue::integer(static_cast<long long>(config.base_seed)))
-      .set("pattern", JsonValue::string(exact_pattern_dsl(config.pattern)))
-      .set("sampling", std::move(sampling))
-      .set("sampler", std::move(sampler));
+      .set("seeds", JsonValue::integer(config.seeds));
+  if (!drop_unread) {
+    e.set("iterations", JsonValue::integer(static_cast<long long>(
+                            key ? config.effective_iterations()
+                                : config.iterations)));
+  }
+  e.set("base_seed",
+        JsonValue::integer(static_cast<long long>(config.base_seed)))
+      .set("pattern", pattern_json(config.pattern, key))
+      .set("sampling", std::move(sampling));
+  if (!drop_unread) {
+    JsonValue sampler = JsonValue::object();
+    sampler.set("period_s", JsonValue::number(config.sampler.period_s))
+        .set("warmup_trim_s", JsonValue::number(config.sampler.warmup_trim_s))
+        .set("ramp_tau_s", JsonValue::number(config.sampler.ramp_tau_s))
+        .set("noise_sigma_w", JsonValue::number(config.sampler.noise_sigma_w));
+    e.set("sampler", std::move(sampler));
+  }
   if (config.variation) {
     JsonValue variation = JsonValue::object();
     variation
@@ -1077,10 +1001,12 @@ JsonValue governor_to_json(const dvfs::GovernorConfig& config) {
   return g;
 }
 
-JsonValue thermal_to_json(const fleet::ThermalConfig& config) {
+JsonValue thermal_to_json(const fleet::ThermalConfig& config, bool key) {
   JsonValue t = JsonValue::object();
-  t.set("enabled", JsonValue::boolean(config.enabled))
-      .set("ambient_c", JsonValue::number(config.ambient_c))
+  t.set("enabled", JsonValue::boolean(config.enabled));
+  // A disabled model reads none of its parameters.
+  if (key && !config.enabled) return t;
+  t.set("ambient_c", JsonValue::number(config.ambient_c))
       .set("tau_s", JsonValue::number(config.tau_s))
       .set("trip_c", JsonValue::number(config.trip_c))
       .set("release_c", JsonValue::number(config.release_c))
@@ -1089,12 +1015,94 @@ JsonValue thermal_to_json(const fleet::ThermalConfig& config) {
   return t;
 }
 
-JsonValue phase_patterns_to_json(const std::vector<PatternSpec>& patterns) {
+JsonValue timeline_json(const dvfs::WorkloadTimeline& timeline, bool key) {
+  if (!key || timeline.phases().size() <= kMaxKeyedPhases) {
+    return JsonValue::string(dvfs::to_dsl(timeline));
+  }
+  // A burst DSL can legally realise ~2M phases: the key carries the phase
+  // count and an FNV-1a hash over the raw phase fields, so no multi-MB
+  // string is ever materialised.
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](double v) {
+    std::uint64_t bits = 0;
+    static_assert(sizeof bits == sizeof v);
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int b = 0; b < 64; b += 8) {
+      hash ^= (bits >> b) & 0xFFu;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (const auto& phase : timeline.phases()) {
+    mix(phase.duration_s);
+    mix(phase.utilization);
+    mix(static_cast<double>(phase.pattern));
+  }
+  return JsonValue::string("#" + std::to_string(timeline.phases().size()) +
+                           ":" + std::to_string(hash));
+}
+
+JsonValue phase_patterns_to_json(const std::vector<PatternSpec>& patterns,
+                                 bool key) {
   JsonValue list = JsonValue::array();
   for (const PatternSpec& pattern : patterns) {
-    list.push(JsonValue::string(exact_pattern_dsl(pattern)));
+    list.push(pattern_json(pattern, key));
   }
   return list;
+}
+
+JsonValue scenario_json(const ScenarioConfig& config, bool key) {
+  JsonValue doc = JsonValue::object();
+  doc.set("scenario", JsonValue::string(name(config.kind())));
+  switch (config.kind()) {
+    case ScenarioKind::kStatic:
+      doc.set("experiment",
+              experiment_to_json(config.static_config(), key, false));
+      break;
+    case ScenarioKind::kDvfs: {
+      const DvfsConfig& dvfs_config = config.dvfs();
+      doc.set("experiment",
+              experiment_to_json(dvfs_config.experiment, key, true))
+          .set("governor", governor_to_json(dvfs_config.governor))
+          .set("timeline", timeline_json(dvfs_config.timeline, key))
+          .set("phase_patterns",
+               phase_patterns_to_json(dvfs_config.phase_patterns, key))
+          .set("slice_s", JsonValue::number(dvfs_config.slice_s))
+          .set("pstates", JsonValue::integer(dvfs_config.pstates));
+      break;
+    }
+    case ScenarioKind::kFleet: {
+      const FleetConfig& fleet_config = config.fleet();
+      JsonValue timelines = JsonValue::array();
+      for (const dvfs::WorkloadTimeline& timeline : fleet_config.timelines) {
+        timelines.push(timeline_json(timeline, key));
+      }
+      JsonValue devices = JsonValue::array();
+      for (const FleetDeviceConfig& device : fleet_config.devices) {
+        JsonValue entry = JsonValue::object();
+        entry.set("gpu", JsonValue::string(gpu_key(device.gpu)))
+            .set("governor", governor_to_json(device.governor))
+            .set("timeline", JsonValue::integer(device.timeline))
+            .set("priority", JsonValue::integer(device.priority));
+        devices.push(std::move(entry));
+      }
+      doc.set("experiment",
+              experiment_to_json(fleet_config.experiment, key, true))
+          .set("timelines", std::move(timelines))
+          .set("devices", std::move(devices))
+          .set("allocator",
+               JsonValue::string(fleet::name(fleet_config.allocator.policy)))
+          .set("cap_w", fleet_config.allocator.capped()
+                            ? JsonValue::number(fleet_config.allocator.cap_w)
+                            : JsonValue::null())
+          .set("thermal", thermal_to_json(fleet_config.thermal, key))
+          .set("phase_patterns",
+               phase_patterns_to_json(fleet_config.phase_patterns, key))
+          .set("slice_s", JsonValue::number(fleet_config.slice_s))
+          .set("pstates", JsonValue::integer(fleet_config.pstates));
+      break;
+    }
+  }
+  return doc;
 }
 
 }  // namespace
@@ -1160,55 +1168,14 @@ SpecParseResult load_scenario_spec(const std::string& path) {
 }
 
 analysis::JsonValue spec_to_json(const ScenarioConfig& config) {
-  JsonValue doc = JsonValue::object();
-  doc.set("scenario", JsonValue::string(name(config.kind())));
-  switch (config.kind()) {
-    case ScenarioKind::kStatic:
-      doc.set("experiment", experiment_to_json(config.static_config()));
-      break;
-    case ScenarioKind::kDvfs: {
-      const DvfsConfig& dvfs_config = config.dvfs();
-      doc.set("experiment", experiment_to_json(dvfs_config.experiment))
-          .set("governor", governor_to_json(dvfs_config.governor))
-          .set("timeline", JsonValue::string(dvfs::to_dsl(dvfs_config.timeline)))
-          .set("phase_patterns",
-               phase_patterns_to_json(dvfs_config.phase_patterns))
-          .set("slice_s", JsonValue::number(dvfs_config.slice_s))
-          .set("pstates", JsonValue::integer(dvfs_config.pstates));
-      break;
-    }
-    case ScenarioKind::kFleet: {
-      const FleetConfig& fleet_config = config.fleet();
-      JsonValue timelines = JsonValue::array();
-      for (const dvfs::WorkloadTimeline& timeline : fleet_config.timelines) {
-        timelines.push(JsonValue::string(dvfs::to_dsl(timeline)));
-      }
-      JsonValue devices = JsonValue::array();
-      for (const FleetDeviceConfig& device : fleet_config.devices) {
-        JsonValue entry = JsonValue::object();
-        entry.set("gpu", JsonValue::string(gpu_key(device.gpu)))
-            .set("governor", governor_to_json(device.governor))
-            .set("timeline", JsonValue::integer(device.timeline))
-            .set("priority", JsonValue::integer(device.priority));
-        devices.push(std::move(entry));
-      }
-      doc.set("experiment", experiment_to_json(fleet_config.experiment))
-          .set("timelines", std::move(timelines))
-          .set("devices", std::move(devices))
-          .set("allocator",
-               JsonValue::string(fleet::name(fleet_config.allocator.policy)))
-          .set("cap_w", fleet_config.allocator.capped()
-                            ? JsonValue::number(fleet_config.allocator.cap_w)
-                            : JsonValue::null())
-          .set("thermal", thermal_to_json(fleet_config.thermal))
-          .set("phase_patterns",
-               phase_patterns_to_json(fleet_config.phase_patterns))
-          .set("slice_s", JsonValue::number(fleet_config.slice_s))
-          .set("pstates", JsonValue::integer(fleet_config.pstates));
-      break;
-    }
-  }
-  return doc;
+  return scenario_json(config, /*key=*/false);
+}
+
+std::string canonical_scenario_key(const ScenarioConfig& config) {
+  // '\x1f' (unit separator) cannot appear in a kind name, so keys of
+  // different kinds can never collide; trace tools split on it.
+  return std::string(name(config.kind())) + '\x1f' +
+         scenario_json(config, /*key=*/true).dump();
 }
 
 bool expand_campaign(const ScenarioSpec& spec, std::vector<CampaignPoint>& out,
@@ -1258,6 +1225,62 @@ bool expand_campaign(const ScenarioSpec& spec, std::vector<CampaignPoint>& out,
                   .arg("campaign", obs::intern(spec.name))
                   .arg("points", static_cast<std::int64_t>(out.size())));
   }
+  return true;
+}
+
+bool detail::SpecCtx::fail(std::string_view path, std::string_view message) {
+  if (error.empty()) {
+    error = path.empty() ? std::string(message)
+                         : std::string(path) + ": " + std::string(message);
+  }
+  return false;
+}
+
+bool detail::check_keys(const JsonValue& obj, std::string_view path,
+                        std::initializer_list<std::string_view> allowed,
+                        SpecCtx& ctx) {
+  for (const std::string& key : obj.keys()) {
+    bool known = false;
+    for (const std::string_view candidate : allowed) {
+      if (key == candidate) {
+        known = true;
+        break;
+      }
+    }
+    if (!known) {
+      std::string expected;
+      for (const std::string_view candidate : allowed) {
+        if (!expected.empty()) expected += ", ";
+        expected += candidate;
+      }
+      return ctx.fail(path.empty() ? "spec" : path,
+                      "unknown key '" + key + "' (expected one of: " +
+                          expected + ")");
+    }
+  }
+  return true;
+}
+
+bool detail::read_string(const JsonValue* v, std::string_view path,
+                         SpecCtx& ctx, std::string& out) {
+  if (v == nullptr || !v->is_string()) {
+    return ctx.fail(path, "expected a string");
+  }
+  out = v->as_string();
+  return true;
+}
+
+bool detail::read_number(const JsonValue* v, std::string_view path,
+                         SpecCtx& ctx, double& out) {
+  if (v == nullptr || !v->is_number()) {
+    return ctx.fail(path, "expected a number");
+  }
+  // JSON has no infinity, but strtod reads 1e999 as one; the key would
+  // print it (and -1e999) as null, so no spec number may be non-finite.
+  if (!std::isfinite(v->as_number())) {
+    return ctx.fail(path, "expected a finite number");
+  }
+  out = v->as_number();
   return true;
 }
 

@@ -48,6 +48,7 @@
 // ScenarioSpec::dag for that form.
 #pragma once
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -111,10 +112,12 @@ struct SpecParseResult {
 /// Reads and parses a spec file.
 [[nodiscard]] SpecParseResult load_scenario_spec(const std::string& path);
 
-/// Serialises any ScenarioConfig to its single-scenario spec document.
-/// Exact: parse_scenario_spec(spec_to_json(c)) yields a config with an
-/// identical canonical key (numbers are emitted at full round-trip
-/// precision) — the migration path from hand-built configs to spec files.
+/// Serialises any ScenarioConfig to its single-scenario spec document — the
+/// one serialisation of a scenario (canonical_scenario_key is its
+/// normalised compact dump).  Exact: parse_scenario_spec(spec_to_json(c))
+/// yields a config with an identical canonical key (numbers are emitted at
+/// full round-trip precision) — the migration path from hand-built configs
+/// to spec files.
 [[nodiscard]] analysis::JsonValue spec_to_json(const ScenarioConfig& config);
 
 /// One expanded campaign grid point.
@@ -159,6 +162,24 @@ namespace detail {
                                  std::string_view path,
                                  const analysis::JsonValue& leaf,
                                  analysis::JsonValue& out, std::string& error);
+
+/// The strict field readers behind the spec and dag parsers.  Each
+/// failure records "<path>: <message>" into the context (the first failure
+/// wins) and returns false, so a caller just returns the result.
+struct SpecCtx {
+  std::string error;
+  bool fail(std::string_view path, std::string_view message);
+};
+
+/// Rejects any key of `obj` outside `allowed`, naming it and listing the
+/// expected keys; an empty `path` reports as "spec".
+bool check_keys(const analysis::JsonValue& obj, std::string_view path,
+                std::initializer_list<std::string_view> allowed, SpecCtx& ctx);
+/// `v` may be null (a missing member): that fails like a wrong kind.
+bool read_string(const analysis::JsonValue* v, std::string_view path,
+                 SpecCtx& ctx, std::string& out);
+bool read_number(const analysis::JsonValue* v, std::string_view path,
+                 SpecCtx& ctx, double& out);
 }  // namespace detail
 
 }  // namespace gpupower::core

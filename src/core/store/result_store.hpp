@@ -1,7 +1,8 @@
 // ResultStore: the content-addressed on-disk result store that makes the
 // experiment engine's cache survive the process.  Entries are keyed by the
-// kind-prefixed `canonical_scenario_key` — stable across processes because
-// the key serialisation round-trips every double exactly — and hold the
+// kind-prefixed `canonical_scenario_key` (`<kind>\x1f` + the compact,
+// normalised spec JSON) — stable across processes because the spec
+// serialisation round-trips every double exactly — and hold the
 // kind's full-fidelity result JSON (scenario_result_to_json), so a store
 // hit reproduces the original reduction bit-identically.
 //

@@ -1,11 +1,11 @@
 // Shared lexing helpers for the small stage-style DSLs in the DVFS
-// subsystem (governor specs, timeline specs).  Header-only and internal to
-// src/gpusim/dvfs — the public grammar lives in the owning headers.
+// subsystem (governor specs, timeline specs), plus the number printer every
+// DSL serialiser uses (core's pattern DSL included).  Header-only; the
+// public grammars live in the owning headers.
 #pragma once
 
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -66,17 +66,14 @@ inline bool read_number(Cursor& cursor, double& value) {
   return true;
 }
 
-inline std::string format_compact(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
-}
-
-/// Full round-trip precision, for cache keys.
+/// The one number printer of the DSLs (pattern, timeline, governor): the
+/// shortest form that parses back to exactly `v` (std::to_chars, as
+/// JsonValue::dump prints numbers), so "0.14" stays "0.14" and a DSL string
+/// round-trips every bit.
 inline std::string format_exact(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  char buf[32];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, ec == std::errc{} ? ptr : buf);
 }
 
 }  // namespace gpupower::gpusim::dvfs::detail

@@ -1,5 +1,7 @@
 #include "gpusim/dvfs/governor.hpp"
 
+#include <cmath>
+
 #include "gpusim/dvfs/dsl_util.hpp"
 
 namespace gpupower::gpusim::dvfs {
@@ -97,7 +99,7 @@ class OracleGovernor final : public Governor {
 // --- governor DSL ---------------------------------------------------------
 
 using detail::Cursor;
-using detail::format_compact;
+using detail::format_exact;
 using detail::read_ident;
 using detail::read_number;
 
@@ -177,14 +179,8 @@ GovernorParseResult parse_governor(std::string_view text) {
         if (cursor.accept(')')) break;
         if (!cursor.accept(',')) return fail_at(cursor, "expected ',' or ')'");
       }
-      if (config.boost_util < config.low_util) {
-        return fail_at(cursor, "utilization() needs up >= down");
-      }
-      if (config.boost_util > 1.0 || config.low_util < 0.0) {
-        return fail_at(cursor, "utilization thresholds must lie in [0, 1]");
-      }
-      if (config.boost_hold_s < 0.0 || config.low_hold_s < 0.0) {
-        return fail_at(cursor, "hold times must be non-negative");
+      if (std::string problem = validate_governor(config); !problem.empty()) {
+        return fail_at(cursor, problem);
       }
     }
   } else {
@@ -201,6 +197,23 @@ GovernorParseResult parse_governor(std::string_view text) {
   return result;
 }
 
+std::string validate_governor(const GovernorConfig& config) {
+  // Negated comparisons reject NaN, and the bounds reject infinities: the
+  // cache key prints every non-finite double as JSON null.
+  if (!(config.boost_util >= config.low_util)) {
+    return "utilization() needs up >= down";
+  }
+  if (!(config.boost_util <= 1.0 && config.low_util >= 0.0)) {
+    return "utilization thresholds must lie in [0, 1]";
+  }
+  for (const double hold : {config.boost_hold_s, config.low_hold_s}) {
+    if (!(hold >= 0.0 && std::isfinite(hold))) {
+      return "hold times must be non-negative and finite";
+    }
+  }
+  return {};
+}
+
 std::string to_dsl(const GovernorConfig& config) {
   switch (config.policy) {
     case GovernorConfig::Policy::kFixed:
@@ -210,10 +223,10 @@ std::string to_dsl(const GovernorConfig& config) {
     case GovernorConfig::Policy::kUtilization:
       break;
   }
-  return "utilization(up=" + format_compact(config.boost_util) +
-         ", down=" + format_compact(config.low_util) +
-         ", up_hold=" + format_compact(config.boost_hold_s) +
-         ", down_hold=" + format_compact(config.low_hold_s) + ")";
+  return "utilization(up=" + format_exact(config.boost_util) +
+         ", down=" + format_exact(config.low_util) +
+         ", up_hold=" + format_exact(config.boost_hold_s) +
+         ", down_hold=" + format_exact(config.low_hold_s) + ")";
 }
 
 }  // namespace gpupower::gpusim::dvfs

@@ -87,10 +87,16 @@ struct GovernorParseResult {
 /// Omitted keys keep the GovernorConfig defaults.  Never throws.
 [[nodiscard]] GovernorParseResult parse_governor(std::string_view text);
 
-/// Canonical DSL form: parse_governor(to_dsl(c)).config == c for values
-/// representable at %g (6 significant digit) precision — the display /
-/// round-trip form, NOT a cache key (canonical_dvfs_key serialises the raw
-/// fields at full precision).
+/// The one range check of a governor config, shared by parse_governor and
+/// the dvfs/fleet config validators (so a spec's object form and a
+/// hand-built config meet it too): thresholds in [0, 1] with up >= down,
+/// finite non-negative holds.  Every field is checked whatever the policy,
+/// since the cache key carries them all.  Empty when valid.
+[[nodiscard]] std::string validate_governor(const GovernorConfig& config);
+
+/// Canonical DSL form, numbers printed exactly:
+/// parse_governor(to_dsl(c)).config == c for every config the parser
+/// accepts.
 [[nodiscard]] std::string to_dsl(const GovernorConfig& config);
 
 }  // namespace gpupower::gpusim::dvfs

@@ -272,14 +272,13 @@ TimelineParseResult parse_timeline(std::string_view text) {
 }
 
 std::string to_dsl(const WorkloadTimeline& timeline) {
-  // Canonical, cache-key-stable form: the realised phase list.  Uses the
-  // constant() stage so the output stays parseable by parse_timeline.
+  // The realised phase list, in constant() stages so the output stays
+  // parseable by parse_timeline.
   std::string out;
   for (const TimelinePhase& phase : timeline.phases()) {
     if (!out.empty()) out += " | ";
     out += "constant(util=" + format_exact(phase.utilization) +
            ", dur=" + format_exact(phase.duration_s);
-    // Pattern-free phases keep the historical form (stable cache keys).
     if (phase.pattern >= 0) {
       out += ", pattern=" + std::to_string(phase.pattern);
     }

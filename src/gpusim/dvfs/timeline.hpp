@@ -99,9 +99,9 @@ struct TimelineParseResult {
 /// Parses the timeline DSL described above.  Never throws.
 [[nodiscard]] TimelineParseResult parse_timeline(std::string_view text);
 
-/// Canonical phase-list form — a pipe of full-precision constant() stages,
-/// parseable back and stable, used for cache keys.  (Factory structure is
-/// not preserved; two DSLs producing the same phases serialise
+/// Canonical phase-list form — a pipe of constant() stages with exact
+/// (shortest round-trip) numbers, parseable back and stable.  (Factory
+/// structure is not preserved; two DSLs producing the same phases serialise
 /// identically.)
 [[nodiscard]] std::string to_dsl(const WorkloadTimeline& timeline);
 

@@ -96,16 +96,23 @@ TEST(GovernorDsl, RejectsMalformedSpecs) {
   EXPECT_NE(failed.error.find("dwn"), std::string::npos);
 }
 
-TEST(GovernorDsl, RoundTripsThroughToDsl) {
+TEST(GovernorDsl, RoundTripsThroughToDslExactly) {
   for (const char* spec :
        {"fixed(3)", "oracle()",
-        "utilization(up=75%, down=25%, up_hold=0.015, down_hold=0.2)"}) {
+        "utilization(up=75%, down=25%, up_hold=0.015, down_hold=0.2)",
+        // Past six significant digits, where a %g printer would round.
+        "utilization(up=0.80000004, down=0.123456789, up_hold=1e-07)"}) {
     const auto first = parse_governor(spec);
     ASSERT_TRUE(first.ok) << first.error;
     const auto second = parse_governor(to_dsl(first.config));
     ASSERT_TRUE(second.ok) << second.error;
     EXPECT_EQ(first.config, second.config) << spec;
   }
+  EXPECT_EQ(to_dsl(parse_governor("utilization(up=75%, down=25%)").config),
+            "utilization(up=0.75, down=0.25, up_hold=0.01, down_hold=0.03)");
+  // NaN would print as null in a spec document, colliding with infinity.
+  EXPECT_FALSE(parse_governor("utilization(up_hold=nan)").ok);
+  EXPECT_FALSE(parse_governor("utilization(down=nan)").ok);
 }
 
 // --- governor state machines ----------------------------------------------

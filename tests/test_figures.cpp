@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pattern_dsl.hpp"
+
 namespace gpupower::core {
 namespace {
 
@@ -12,7 +14,7 @@ TEST_P(FigureSweep, IsWellFormed) {
   ASSERT_GE(sweep.size(), 6u);
   for (const auto& point : sweep) {
     EXPECT_FALSE(point.label.empty());
-    EXPECT_FALSE(point.spec.describe().empty());
+    EXPECT_FALSE(to_dsl(point.spec).empty());
   }
   // x values are strictly increasing along the sweep.
   for (std::size_t i = 1; i < sweep.size(); ++i) {
@@ -76,14 +78,14 @@ TEST(Figures, BaselineSpecIsPaperDefault) {
   EXPECT_DOUBLE_EQ(spec.sparsity, 0.0);
 }
 
-TEST(Figures, DescribeMentionsComponents) {
+TEST(Figures, DslMentionsComponents) {
   PatternSpec spec;
   spec.place = PatternSpec::Place::kSortRows;
   spec.sort_percent = 40.0;
   spec.sparsity = 0.5;
   spec.bitop = PatternSpec::BitOp::kZeroLow;
   spec.bit_fraction = 0.25;
-  const auto text = spec.describe();
+  const auto text = to_dsl(spec);
   EXPECT_NE(text.find("sort_rows"), std::string::npos);
   EXPECT_NE(text.find("sparsity"), std::string::npos);
   EXPECT_NE(text.find("zero_lsb"), std::string::npos);

@@ -571,22 +571,5 @@ TEST(Fleet, BuilderAssemblesAndValidates) {
   EXPECT_FALSE(bad_allocator.valid());
 }
 
-TEST(Fleet, CacheKeySeparatesCapsAllocatorsAndThermal) {
-  FleetConfig a = small_fleet_config();
-  FleetConfig b = a;
-  EXPECT_EQ(core::canonical_fleet_key(a), core::canonical_fleet_key(b));
-  b.allocator.cap_w = 500.0;
-  EXPECT_NE(core::canonical_fleet_key(a), core::canonical_fleet_key(b));
-  b = a;
-  b.allocator.policy = AllocatorConfig::Policy::kUniform;
-  EXPECT_NE(core::canonical_fleet_key(a), core::canonical_fleet_key(b));
-  b = a;
-  b.thermal = test_thermal();
-  EXPECT_NE(core::canonical_fleet_key(a), core::canonical_fleet_key(b));
-  b = a;
-  b.devices[1].priority += 1;
-  EXPECT_NE(core::canonical_fleet_key(a), core::canonical_fleet_key(b));
-}
-
 }  // namespace
 }  // namespace gpupower::gpusim::fleet

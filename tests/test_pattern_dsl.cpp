@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/figures.hpp"
+#include "gpusim/dvfs/dsl_util.hpp"
 
 namespace gpupower::core {
 namespace {
@@ -95,32 +98,54 @@ TEST(PatternDsl, ErrorPositionPointsAtOffendingStage) {
   EXPECT_EQ(result.error_pos, 13u);
 }
 
-TEST(PatternDsl, RoundTripsEveryFigureSpec) {
+/// Every field of `a` and `b` bit-equal (sigma included: the unprinted
+/// paper default reparses as the default).
+void expect_same_spec(const PatternSpec& a, const PatternSpec& b,
+                      const std::string& dsl) {
+  EXPECT_EQ(a.value, b.value) << dsl;
+  EXPECT_EQ(a.mean, b.mean) << dsl;
+  EXPECT_EQ(a.sigma, b.sigma) << dsl;
+  EXPECT_EQ(a.set_size, b.set_size) << dsl;
+  EXPECT_EQ(a.place, b.place) << dsl;
+  EXPECT_EQ(a.sort_percent, b.sort_percent) << dsl;
+  EXPECT_EQ(a.sparsity, b.sparsity) << dsl;
+  EXPECT_EQ(a.bitop, b.bitop) << dsl;
+  EXPECT_EQ(a.bit_fraction, b.bit_fraction) << dsl;
+  EXPECT_EQ(a.transpose_b, b.transpose_b) << dsl;
+}
+
+TEST(PatternDsl, RoundTripsEveryFigureSpecExactly) {
   // Property: every spec in the figure registry survives
-  // to_dsl -> parse_pattern unchanged.
+  // to_dsl -> parse_pattern bit for bit, and every number in it prints as
+  // it does at ostream's default precision, so display text is unchanged.
+  using gpupower::gpusim::dvfs::detail::format_exact;
   for (const auto fig : kAllFigures) {
     for (const auto& point : figure_sweep(fig)) {
       const std::string dsl = to_dsl(point.spec);
       const auto reparsed = parse_pattern(dsl);
       ASSERT_TRUE(reparsed.ok) << dsl << ": " << reparsed.error;
-      const PatternSpec& a = point.spec;
-      const PatternSpec& b = reparsed.spec;
-      EXPECT_EQ(a.value, b.value) << dsl;
-      EXPECT_DOUBLE_EQ(a.mean, b.mean) << dsl;
-      if (a.sigma >= 0.0) {
-        EXPECT_DOUBLE_EQ(a.sigma, b.sigma) << dsl;
-      } else {
-        EXPECT_LT(b.sigma, 0.0) << dsl;
+      expect_same_spec(point.spec, reparsed.spec, dsl);
+      const PatternSpec& s = point.spec;
+      for (const double v :
+           {s.mean, s.sigma, s.sort_percent, s.sparsity, s.bit_fraction}) {
+        std::ostringstream display;
+        display << v;
+        EXPECT_EQ(format_exact(v), display.str()) << dsl;
       }
-      EXPECT_EQ(a.set_size, b.set_size) << dsl;
-      EXPECT_EQ(a.place, b.place) << dsl;
-      EXPECT_DOUBLE_EQ(a.sort_percent, b.sort_percent) << dsl;
-      EXPECT_DOUBLE_EQ(a.sparsity, b.sparsity) << dsl;
-      EXPECT_EQ(a.bitop, b.bitop) << dsl;
-      EXPECT_DOUBLE_EQ(a.bit_fraction, b.bit_fraction) << dsl;
-      EXPECT_EQ(a.transpose_b, b.transpose_b) << dsl;
     }
   }
+}
+
+TEST(PatternDsl, RoundTripsPastDisplayPrecision) {
+  const auto first = parse_pattern(
+      "set(size=5, mean=0.1234567891, sigma=210.00000000001) | "
+      "sort_cols(33.333333333%) | sparsity(0.1234561) | rand_msb(0.3)");
+  ASSERT_TRUE(first.ok) << first.error;
+  const std::string dsl = to_dsl(first.spec);
+  const auto second = parse_pattern(dsl);
+  ASSERT_TRUE(second.ok) << dsl << ": " << second.error;
+  expect_same_spec(first.spec, second.spec, dsl);
+  EXPECT_EQ(to_dsl(second.spec), dsl);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // The unified scenario API and its JSON spec front end:
 //  - spec round-trips: parse(spec_to_json(config)) reproduces the exact
 //    canonical cache key for every scenario kind;
+//  - the canonical key: every significant field changes it, and every
+//    normalisation rule keeps it equal only where results are equal;
 //  - malformed specs fail with pointed errors naming the offending key;
 //  - campaign grids expand the cross product and patch arbitrary dotted
 //    fields;
@@ -11,12 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/config_builder.hpp"
 #include "core/engine.hpp"
+#include "core/pattern_dsl.hpp"
 #include "core/scenario.hpp"
 
 namespace gpupower::core {
@@ -85,7 +90,7 @@ TEST(Spec, RoundTripDvfsCanonicalKey) {
   DvfsConfig config = small_dvfs();
   // Values that do not survive 6-significant-digit display rounding: the
   // spec document must carry full precision.
-  config.governor.boost_util = 0.123456789012345;
+  config.governor.boost_util = 0.823456789012345;
   config.slice_s = 0.0100000000000002;
   const ScenarioConfig original{config};
   EXPECT_EQ(canonical_scenario_key(round_trip(original)),
@@ -110,6 +115,199 @@ TEST(Spec, RoundTripDvfsWithPhasePatterns) {
   const ScenarioConfig original{config};
   EXPECT_EQ(canonical_scenario_key(round_trip(original)),
             canonical_scenario_key(original));
+}
+
+// --- the canonical key -----------------------------------------------------
+
+/// `config` with `edit` applied, as a ScenarioConfig.
+template <typename Config, typename Edit>
+ScenarioConfig edited(Config config, Edit edit) {
+  edit(config);
+  return ScenarioConfig(std::move(config));
+}
+
+struct KeyCase {
+  const char* what;
+  ScenarioConfig a;
+  ScenarioConfig b;
+};
+
+// Each pair differs in one field a result depends on, so the keys differ.
+std::vector<KeyCase> significant_cases() {
+  using gpupower::gpusim::GpuModel;
+  using gpupower::gpusim::dvfs::GovernorConfig;
+  using gpupower::gpusim::dvfs::parse_timeline;
+  using gpupower::gpusim::fleet::AllocatorConfig;
+  const ExperimentConfig e = small_experiment();
+  const DvfsConfig d = small_dvfs();
+  const FleetConfig f = small_fleet();
+  const auto pattern = [](const char* dsl) {
+    return parse_pattern(dsl).spec;
+  };
+  return {
+      {"gpu", e, edited(e, [](auto& c) { c.gpu = GpuModel::kV100SXM2; })},
+      {"dtype", e,
+       edited(e, [](auto& c) { c.dtype = gpupower::numeric::DType::kINT8; })},
+      {"n", e, edited(e, [](auto& c) { c.n = 96; })},
+      {"seeds", e, edited(e, [](auto& c) { c.seeds = 3; })},
+      {"iterations", e, edited(e, [](auto& c) { c.iterations = 777; })},
+      {"base_seed", e, edited(e, [](auto& c) { c.base_seed = 1; })},
+      {"sampling.tiles", e,
+       edited(e, [](auto& c) { c.sampling.max_tiles = 7; })},
+      {"sampling.k_fraction", e,
+       edited(e, [](auto& c) { c.sampling.k_fraction = 0.75; })},
+      {"sampling.seed", e, edited(e, [](auto& c) { c.sampling.seed = 9; })},
+      {"sampler.period_s", e,
+       edited(e, [](auto& c) { c.sampler.period_s = 0.05; })},
+      {"sampler.warmup_trim_s", e,
+       edited(e, [](auto& c) { c.sampler.warmup_trim_s = 0.25; })},
+      {"sampler.ramp_tau_s", e,
+       edited(e, [](auto& c) { c.sampler.ramp_tau_s = 0.3; })},
+      {"sampler.noise_sigma_w", e,
+       edited(e, [](auto& c) { c.sampler.noise_sigma_w = 0.0; })},
+      {"variation", e, edited(e, [](auto& c) {
+         c.variation = gpupower::gpusim::ProcessVariation{0.05, 7};
+       })},
+      {"pattern structure", e, edited(e, [&](auto& c) {
+         c.pattern = pattern("set(size=4, sigma=210) | sort_rows(40%)");
+       })},
+      {"pattern sigma", e, edited(e, [](auto& c) { c.pattern.sigma = 64; })},
+      // Equal at six significant digits, the old display precision.
+      {"pattern past 6 digits",
+       edited(e, [](auto& c) { c.pattern.sparsity = 0.1234561; }),
+       edited(e, [](auto& c) { c.pattern.sparsity = 0.1234564; })},
+      {"pattern transpose", e,
+       edited(e, [](auto& c) { c.pattern.transpose_b = false; })},
+      {"dvfs pattern", d, edited(d, [&](auto& c) {
+         c.experiment.pattern = pattern("gaussian() | zero_lsb(0.5)");
+       })},
+      {"governor policy", d, edited(d, [](auto& c) {
+         c.governor.policy = GovernorConfig::Policy::kOracle;
+       })},
+      // Governors that share a display form at six significant digits.
+      {"governor past 6 digits",
+       edited(d, [](auto& c) { c.governor.boost_util = 0.80000004; }),
+       edited(d, [](auto& c) { c.governor.boost_util = 0.80000008; })},
+      {"governor hold", d,
+       edited(d, [](auto& c) { c.governor.low_hold_s = 0.5; })},
+      {"timeline", d, edited(d, [&](auto& c) {
+         c.timeline = parse_timeline("constant(util=50%, dur=0.5)").timeline;
+       })},
+      {"phase_patterns", d, edited(d, [](auto& c) {
+         c.phase_patterns = {c.experiment.pattern};
+       })},
+      {"dvfs slice", d, edited(d, [](auto& c) { c.slice_s = 0.02; })},
+      {"dvfs pstates", d, edited(d, [](auto& c) { c.pstates = 3; })},
+      {"cap", f, edited(f, [](auto& c) { c.allocator.cap_w = 500.0; })},
+      {"allocator", f, edited(f, [](auto& c) {
+         c.allocator.policy = AllocatorConfig::Policy::kUniform;
+       })},
+      {"thermal on/off", f,
+       edited(f, [](auto& c) { c.thermal.enabled = false; })},
+      {"thermal tau", f, edited(f, [](auto& c) { c.thermal.tau_s = 4.0; })},
+      {"device priority", f,
+       edited(f, [](auto& c) { c.devices[1].priority += 1; })},
+      {"device gpu", f,
+       edited(f, [](auto& c) { c.devices[1].gpu = GpuModel::kV100SXM2; })},
+      {"device governor", f, edited(f, [](auto& c) {
+         c.devices[0].governor.boost_util = 0.75;
+       })},
+      {"fleet timelines", f, edited(f, [&](auto& c) {
+         c.timelines[0] = parse_timeline("idle(dur=0.5)").timeline;
+       })},
+      {"fleet slice", f, edited(f, [](auto& c) { c.slice_s = 0.02; })},
+      {"fleet pstates", f, edited(f, [](auto& c) { c.pstates = 3; })},
+      {"kind", ScenarioConfig(d.experiment), d},
+  };
+}
+
+TEST(CanonicalKey, EverySignificantFieldChangesTheKey) {
+  for (const KeyCase& c : significant_cases()) {
+    EXPECT_NE(canonical_scenario_key(c.a), canonical_scenario_key(c.b))
+        << c.what;
+  }
+}
+
+// Each pair differs only in what a normalisation rule resolves or drops:
+// the keys must be equal AND the results byte-identical, which is what
+// makes the rule sound.
+std::vector<KeyCase> normalised_cases() {
+  const ExperimentConfig e = small_experiment();
+  const DvfsConfig d = small_dvfs();
+  FleetConfig cool = small_fleet();
+  cool.thermal.enabled = false;
+  const auto default_sigma = [](auto& c) { c.sigma = -1.0; };
+  const auto paper_sigma = [](auto& c) { c.sigma = 210.0; };
+  const auto sampler_changed = [](auto& c) {
+    c.experiment.iterations = 777;
+    c.experiment.sampler.noise_sigma_w = 0.0;
+    c.experiment.sampler.period_s = 0.05;
+  };
+  return {
+      {"sigma default vs 210",
+       edited(e, [&](auto& c) { default_sigma(c.pattern); }),
+       edited(e, [&](auto& c) { paper_sigma(c.pattern); })},
+      {"sigma default vs 210 (int8)", edited(e, [&](auto& c) {
+         c.dtype = gpupower::numeric::DType::kINT8;
+         default_sigma(c.pattern);
+       }),
+       edited(e, [&](auto& c) {
+         c.dtype = gpupower::numeric::DType::kINT8;
+         paper_sigma(c.pattern);
+       })},
+      {"iterations 0 vs effective",
+       edited(e, [](auto& c) { c.iterations = 0; }),
+       edited(e, [](auto& c) { c.iterations = c.effective_iterations(); })},
+      // The replica overwrites the sampler seed; no spec field holds it.
+      {"sampler seed", e, edited(e, [](auto& c) { c.sampler.seed = 7; })},
+      {"dvfs iterations and sampler", d, edited(d, sampler_changed)},
+      {"dvfs phase pattern sigma", edited(d, [&](auto& c) {
+         c.phase_patterns = {c.experiment.pattern};
+         default_sigma(c.phase_patterns[0]);
+       }),
+       edited(d, [&](auto& c) {
+         c.phase_patterns = {c.experiment.pattern};
+         paper_sigma(c.phase_patterns[0]);
+       })},
+      {"fleet iterations and sampler", small_fleet(),
+       edited(small_fleet(), sampler_changed)},
+      {"disabled thermal parameters", cool, edited(cool, [](auto& c) {
+         c.thermal.tau_s = 1.0;
+         c.thermal.trip_c = 60.0;
+       })},
+  };
+}
+
+TEST(CanonicalKey, NormalisedDifferencesShareKeyAndResult) {
+  for (const KeyCase& c : normalised_cases()) {
+    EXPECT_EQ(canonical_scenario_key(c.a), canonical_scenario_key(c.b))
+        << c.what;
+    EXPECT_EQ(scenario_result_to_json(run_scenario(c.a)).dump(),
+              scenario_result_to_json(run_scenario(c.b)).dump())
+        << c.what;
+  }
+}
+
+TEST(CanonicalKey, IsKindPrefixedCompactSpecJson) {
+  const std::string key = canonical_scenario_key(small_experiment());
+  ASSERT_EQ(key.rfind("static\x1f{", 0), 0u) << key;
+  EXPECT_TRUE(analysis::json_parse(key.substr(7)).ok) << key;
+}
+
+// A burst DSL can realise millions of phases; past 64 the key carries a
+// digest, not the phase list.
+TEST(CanonicalKey, LongTimelinesKeyAsDigest) {
+  using gpupower::gpusim::dvfs::parse_timeline;
+  DvfsConfig config = small_dvfs();
+  config.timeline =
+      parse_timeline("burst(period=0.01, duty=50%, dur=20)").timeline;
+  ASSERT_GT(config.timeline.phases().size(), 64u);
+  const std::string key = canonical_scenario_key(config);
+  EXPECT_LT(key.size(), 4096u);
+  DvfsConfig other = config;
+  other.timeline =
+      parse_timeline("burst(period=0.01, duty=40%, dur=20)").timeline;
+  EXPECT_NE(canonical_scenario_key(other), key);
 }
 
 // --- pointed errors --------------------------------------------------------
@@ -195,11 +393,113 @@ TEST(Spec, OutOfRangeIntegersFailNamingTheKey) {
     EXPECT_NE(parsed.error.find("out of range"), std::string::npos)
         << parsed.error;
   }
+  // Unsigned fields: a negative value fails as written instead of wrapping
+  // to ~2^64, and tiles share GPUPOWER_TILES's [0, 1000000] range.
+  const struct {
+    const char* key;
+    const char* experiment;
+    const char* written;
+  } unsigned_cases[] = {
+      {"experiment.n", R"json({"n": -5})json", "-5"},
+      {"experiment.iterations", R"json({"iterations": -1})json", "-1"},
+      {"experiment.sampling.tiles", R"json({"sampling": {"tiles": -1}})json",
+       "-1"},
+      {"sampling.tiles", R"json({"sampling": {"tiles": 100000000000}})json",
+       "100000000000"},
+  };
+  for (const auto& c : unsigned_cases) {
+    const std::string spec = std::string(R"json({"scenario": "static", )json") +
+                             R"json("experiment": )json" + c.experiment + "}";
+    const SpecParseResult parsed = parse_scenario_spec_text(spec);
+    ASSERT_FALSE(parsed.ok) << spec;
+    EXPECT_NE(parsed.error.find(c.key), std::string::npos) << parsed.error;
+    EXPECT_NE(parsed.error.find(std::string(c.written) + " out of range"),
+              std::string::npos)
+        << parsed.error;
+  }
   // 2^32 used to wrap to 0 and fail with a misleading "seeds=0" message.
   const SpecParseResult zero = parse_scenario_spec_text(
       R"json({"scenario": "static", "experiment": {"seeds": 4294967296}})json");
   ASSERT_FALSE(zero.ok);
   EXPECT_NE(zero.error.find("4294967296"), std::string::npos) << zero.error;
+}
+
+// strtod reads 1e999 as +inf and -1e999 as -inf, and the key prints both as
+// JSON null: a spec carrying either would share its key with the other.
+TEST(Spec, NonFiniteNumbersFailNamingTheKey) {
+  const std::string dvfs =
+      R"json({"scenario": "dvfs", "timeline": "idle(dur=0.1)", )json";
+  const std::string fleet =
+      R"json({"scenario": "fleet", "timelines": ["idle(dur=0.1)"], )json";
+  const struct {
+    const char* key;
+    std::string head;
+    const char* tail;
+  } cases[] = {
+      {"governor.boost_util", dvfs + R"json("governor": {"boost_util": )json",
+       "}}"},
+      {"thermal.ambient_c",
+       fleet + R"json("devices": [{}], "thermal": {"ambient_c": )json", "}}"},
+      {"experiment.sampler.ramp_tau_s",
+       R"json({"scenario": "static", "experiment": {"sampler":
+               {"ramp_tau_s": )json",
+       "}}}"},
+      {"experiment.variation.sigma_fraction",
+       R"json({"scenario": "static", "experiment": {"variation":
+               {"sigma_fraction": )json",
+       "}}}"},
+      {"cap_w", fleet + R"json("devices": [{}], "cap_w": )json", "}"},
+  };
+  for (const auto& c : cases) {
+    for (const char* value : {"1e999", "-1e999"}) {
+      const std::string spec = c.head + value + c.tail;
+      const SpecParseResult parsed = parse_scenario_spec_text(spec);
+      ASSERT_FALSE(parsed.ok) << spec;
+      EXPECT_NE(parsed.error.find(std::string(c.key) +
+                                  ": expected a finite number"),
+                std::string::npos)
+          << parsed.error;
+    }
+  }
+}
+
+// The object form of a spec governor meets parse_governor's range checks.
+TEST(Spec, ObjectFormGovernorIsRangeChecked) {
+  const SpecParseResult parsed = parse_scenario_spec_text(R"json({
+    "scenario": "dvfs", "timeline": "idle(dur=0.1)",
+    "governor": {"boost_util": 2}
+  })json");
+  ASSERT_FALSE(parsed.ok);
+  EXPECT_NE(parsed.error.find("governor: utilization thresholds"),
+            std::string::npos)
+      << parsed.error;
+}
+
+// Hand-built configs skip the spec reader, so the validators reject a
+// non-finite value in every field the key prints as a JSON number.
+TEST(CanonicalKey, ValidatorsRejectNonFiniteKeyedFields) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kInf, -kInf, std::nan("")}) {
+    const ScenarioConfig configs[] = {
+        edited(small_experiment(),
+               [&](auto& c) { c.sampler.ramp_tau_s = bad; }),
+        edited(small_experiment(),
+               [&](auto& c) { c.sampler.noise_sigma_w = bad; }),
+        edited(small_experiment(), [&](auto& c) {
+          c.variation = gpupower::gpusim::ProcessVariation{bad, 7};
+        }),
+        edited(small_dvfs(), [&](auto& c) { c.governor.boost_hold_s = bad; }),
+        edited(small_dvfs(), [&](auto& c) { c.governor.boost_util = bad; }),
+        edited(small_fleet(),
+               [&](auto& c) { c.devices[1].governor.low_hold_s = bad; }),
+        edited(small_fleet(), [&](auto& c) { c.thermal.ambient_c = bad; }),
+        edited(small_fleet(), [&](auto& c) { c.thermal.initial_c = bad; }),
+    };
+    for (const ScenarioConfig& config : configs) {
+      EXPECT_FALSE(validate_scenario(config).empty())
+          << bad << " accepted by " << canonical_scenario_key(config);
+    }
+  }
 }
 
 TEST(Spec, MalformedJsonReportsByteOffset) {

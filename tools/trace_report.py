@@ -17,9 +17,11 @@ CROSS_THREAD_SPANS (queue.wait) are stamped on a different thread than
 their ring and never nest; they aggregate by name but are exempt from the
 stack.
 
-Scenario keys are kind-prefixed canonical keys ("fleet\\x1fgpu=...", a few
-KB for fleet specs) — tables show the kind plus a stable 12-hex digest
-and a clipped preview; --json emits the full keys.
+Scenario keys are kind-prefixed canonical keys
+('fleet\\x1f{"scenario":"fleet","experiment":{...},...}', the compact
+normalised spec JSON, a few KB for fleet specs) — tables show the kind
+plus a stable 12-hex digest and a clipped preview; --json emits the full
+keys.
 
 Usage:
   tools/trace_report.py TRACE.json [--top N] [--json] [--out FILE]
@@ -46,8 +48,8 @@ import sys
 EPSILON_US = 1e-3
 CROSS_THREAD_SPANS = {"queue.wait"}
 
-# The scenario-key field separator (core canonical_scenario_key): the key
-# is "<kind>\x1f<field list>".
+# The scenario-key kind separator (core canonical_scenario_key): the key
+# is "<kind>\x1f<normalised spec JSON>".
 KIND_SEPARATOR = "\x1f"
 
 
