@@ -186,6 +186,14 @@ const JsonValue* JsonValue::find(std::string_view key) const noexcept {
   return nullptr;
 }
 
+JsonValue* JsonValue::find(std::string_view key) noexcept {
+  if (kind_ != Kind::kObject) return nullptr;
+  for (auto& [name, value] : members_) {
+    if (name == key) return &value;
+  }
+  return nullptr;
+}
+
 std::vector<std::string> JsonValue::keys() const {
   std::vector<std::string> out;
   if (kind_ == Kind::kObject) {

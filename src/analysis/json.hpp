@@ -50,8 +50,10 @@ class JsonValue {
     return kind_ == Kind::kNumber || kind_ == Kind::kInteger;
   }
 
-  /// Object member lookup; nullptr when absent or not an object.
+  /// Object member lookup (the first member of that name); nullptr when
+  /// absent or not an object.
   [[nodiscard]] const JsonValue* find(std::string_view key) const noexcept;
+  [[nodiscard]] JsonValue* find(std::string_view key) noexcept;
   /// Object member keys in insertion order (empty for non-objects).
   [[nodiscard]] std::vector<std::string> keys() const;
   /// Array / object element count (0 for scalars).

@@ -257,6 +257,13 @@ FleetConfigBuilder& FleetConfigBuilder::add_staggered_devices(
     fail("stagger must be non-negative");
     return *this;
   }
+  // One parse for the block: every device runs the same governor.
+  const auto governor = gpupower::gpusim::dvfs::parse_governor(governor_dsl);
+  if (!governor.ok) {
+    fail("governor DSL error at offset " + std::to_string(governor.error_pos) +
+         ": " + governor.error);
+    return *this;
+  }
   const int base = static_cast<int>(config_.timelines.size());
   for (int i = 0; i < count; ++i) {
     gpupower::gpusim::dvfs::WorkloadTimeline shifted;
@@ -265,9 +272,13 @@ FleetConfigBuilder& FleetConfigBuilder::add_staggered_devices(
           static_cast<double>(i) * stagger_s);
     }
     shifted.append(timeline);
-    add_timeline(shifted);
-    add_device(gpu, governor_dsl, /*timeline=*/base + i,
-               /*priority=*/count - i);
+    config_.timelines.push_back(std::move(shifted));
+    FleetDeviceConfig device;
+    device.gpu = gpu;
+    device.governor = governor.config;
+    device.timeline = base + i;
+    device.priority = count - i;
+    config_.devices.push_back(device);
   }
   return *this;
 }

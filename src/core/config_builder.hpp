@@ -23,6 +23,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "core/dvfs_experiment.hpp"
 #include "core/env.hpp"
@@ -66,7 +67,9 @@ class ExperimentConfigBuilder {
   /// The assembled config.  Call only when valid(); on an invalid builder
   /// this still returns the partially-assembled config, so prefer
   /// try_build() when the inputs are untrusted.
-  [[nodiscard]] ExperimentConfig build() const { return config_; }
+  [[nodiscard]] ExperimentConfig build() const& { return config_; }
+  /// Moves the config out of a builder that is done with it.
+  [[nodiscard]] ExperimentConfig build() && { return std::move(config_); }
   /// std::nullopt when any setter recorded an error.
   [[nodiscard]] std::optional<ExperimentConfig> try_build() const;
 
@@ -119,7 +122,8 @@ class DvfsConfigBuilder {
   [[nodiscard]] bool valid() const noexcept;
   [[nodiscard]] std::string error() const;
 
-  [[nodiscard]] DvfsConfig build() const { return config_; }
+  [[nodiscard]] DvfsConfig build() const& { return config_; }
+  [[nodiscard]] DvfsConfig build() && { return std::move(config_); }
   [[nodiscard]] std::optional<DvfsConfig> try_build() const;
 
  private:
@@ -195,7 +199,8 @@ class FleetConfigBuilder {
   [[nodiscard]] bool valid() const noexcept;
   [[nodiscard]] std::string error() const;
 
-  [[nodiscard]] FleetConfig build() const { return config_; }
+  [[nodiscard]] FleetConfig build() const& { return config_; }
+  [[nodiscard]] FleetConfig build() && { return std::move(config_); }
   [[nodiscard]] std::optional<FleetConfig> try_build() const;
 
  private:

@@ -641,15 +641,12 @@ class DagExecutor {
     for (const DagSubstitution& sub : subs) {
       JsonValue value;
       if (!resolve_ref(index, sub.ref, value, error)) return false;
-      JsonValue patched;
       std::string patch_error;
-      if (!detail::set_spec_path(doc, sub.field, value, patched,
-                                 patch_error)) {
+      if (!detail::patch_spec_path(doc, sub.field, value, patch_error)) {
         return node_fail(index,
                          "substitution '" + sub.field + "': " + patch_error,
                          error);
       }
-      doc = std::move(patched);
     }
     return true;
   }
@@ -839,10 +836,10 @@ class DagExecutor {
     // canonical key), block, and read the metric.
     auto evaluate = [&](double x, double& metric, std::size_t& point_index,
                         std::string& eval_error) {
-      JsonValue doc;
+      JsonValue doc = base;
       std::string patch_error;
-      if (!detail::set_spec_path(base, search.field, JsonValue::number(x),
-                                 doc, patch_error)) {
+      if (!detail::patch_spec_path(doc, search.field, JsonValue::number(x),
+                                   patch_error)) {
         return node_fail(index,
                          "search field '" + search.field + "': " + patch_error,
                          eval_error);

@@ -1,12 +1,11 @@
 #include "core/dvfs_experiment.hpp"
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/stats.hpp"
-#include "core/pattern_spec.hpp"
+#include "core/activity_memo.hpp"
 #include "gpusim/dvfs/dsl_util.hpp"
 #include "patterns/rng.hpp"
 
@@ -15,26 +14,6 @@ namespace {
 
 namespace dvfs = gpupower::gpusim::dvfs;
 
-template <typename T>
-gpupower::gpusim::ActivityEstimate typed_activity(
-    const gpupower::gpusim::GpuSimulator& sim, const PatternSpec& pattern,
-    gpupower::numeric::DType dtype, std::size_t n,
-    const gemm::GemmProblem& problem, std::uint64_t replica_seed) {
-  const ExperimentInputs<T> inputs =
-      build_inputs<T>(pattern, dtype, n, replica_seed);
-  return sim.activity(problem, dtype, inputs.a, inputs.b);
-}
-
-gpupower::gpusim::ActivityEstimate pattern_activity(
-    const gpupower::gpusim::GpuSimulator& sim, const PatternSpec& pattern,
-    gpupower::numeric::DType dtype, std::size_t n,
-    const gemm::GemmProblem& problem, std::uint64_t replica_seed) {
-  return with_storage_type(dtype, [&](auto tag) {
-    return typed_activity<typename decltype(tag)::type>(
-        sim, pattern, dtype, n, problem, replica_seed);
-  });
-}
-
 }  // namespace
 
 std::vector<gpupower::gpusim::ActivityTotals> replica_activity_variants(
@@ -42,7 +21,7 @@ std::vector<gpupower::gpusim::ActivityTotals> replica_activity_variants(
     const ExperimentConfig& experiment,
     std::span<const PatternSpec> phase_patterns,
     const dvfs::WorkloadTimeline& timeline, const gemm::GemmProblem& problem,
-    int seed_index) {
+    int seed_index, const ActivityMemo* memo) {
   const int max_ref = timeline.max_pattern_index();
   if (max_ref >= static_cast<int>(phase_patterns.size())) {
     throw std::invalid_argument(
@@ -51,21 +30,18 @@ std::vector<gpupower::gpusim::ActivityTotals> replica_activity_variants(
         " phase pattern(s) are configured");
   }
 
-  const std::uint64_t replica_seed = patterns::derive_seed(
-      experiment.base_seed, static_cast<std::uint64_t>(seed_index));
-
   std::vector<gpupower::gpusim::ActivityTotals> variants;
   variants.reserve(phase_patterns.size() + 1);
-  variants.push_back(pattern_activity(sim, experiment.pattern,
-                                      experiment.dtype, experiment.n, problem,
-                                      replica_seed)
+  variants.push_back(working_point_activity(sim, problem, experiment,
+                                            experiment.pattern, seed_index,
+                                            memo)
                          .totals);
   // Every listed pattern gets its variant (index k -> variant k + 1), with
   // the same replica seed: a phase pattern equal to the base pattern
   // produces bit-identical totals, which the parity tests pin.
   for (const PatternSpec& pattern : phase_patterns) {
-    variants.push_back(pattern_activity(sim, pattern, experiment.dtype,
-                                        experiment.n, problem, replica_seed)
+    variants.push_back(working_point_activity(sim, problem, experiment,
+                                              pattern, seed_index, memo)
                            .totals);
   }
   return variants;
@@ -110,7 +86,8 @@ std::string validate_dvfs_config(const DvfsConfig& config) {
 }
 
 dvfs::ReplayResult run_dvfs_seed_replica(const DvfsConfig& config,
-                                         int seed_index) {
+                                         int seed_index,
+                                         const ActivityMemo* memo) {
   if (const std::string error = validate_dvfs_config(config); !error.empty()) {
     throw std::invalid_argument("run_dvfs_seed_replica: " + error);
   }
@@ -124,7 +101,7 @@ dvfs::ReplayResult run_dvfs_seed_replica(const DvfsConfig& config,
   const std::vector<gpupower::gpusim::ActivityTotals> variants =
       replica_activity_variants(sim, config.experiment,
                                 config.phase_patterns, config.timeline,
-                                problem, seed_index);
+                                problem, seed_index, memo);
 
   const dvfs::PStateTable table =
       config.pstates <= 1

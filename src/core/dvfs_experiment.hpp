@@ -72,11 +72,12 @@ struct DvfsResult {
 /// [1e-6, 10] seconds, pstates in [1, 16].  Empty when both are in range.
 [[nodiscard]] std::string validate_replay_knobs(double slice_s, int pstates);
 
-/// Replays one seed replica's timeline.  Pure and thread-safe, like
-/// run_seed_replica.  Throws std::invalid_argument when
-/// validate_dvfs_config rejects the config.
+/// Replays one seed replica's timeline.  Thread-safe and deterministic,
+/// like run_seed_replica (activity through `memo` when given).  Throws
+/// std::invalid_argument when validate_dvfs_config rejects the config.
 [[nodiscard]] gpupower::gpusim::dvfs::ReplayResult run_dvfs_seed_replica(
-    const DvfsConfig& config, int seed_index);
+    const DvfsConfig& config, int seed_index,
+    const ActivityMemo* memo = nullptr);
 
 /// Folds per-seed replays (in seed order) into the reported result.
 [[nodiscard]] DvfsResult reduce_dvfs_replicas(
@@ -91,15 +92,17 @@ struct DvfsResult {
 /// devices, since activity depends on inputs and sampling, not on the
 /// device).  `sim` must be the replica's simulator
 /// (replica_sim_options(experiment, seed_index)) — passed in so the
-/// caller's descriptor and the activity walk cannot drift apart.  Throws
-/// std::invalid_argument when a phase references a pattern index outside
-/// `phase_patterns`.
+/// caller's descriptor and the activity walk cannot drift apart.  Each
+/// variant is one working_point_activity call, through `memo` when given.
+/// Throws std::invalid_argument when a phase references a pattern index
+/// outside `phase_patterns`.
 [[nodiscard]] std::vector<gpupower::gpusim::ActivityTotals>
 replica_activity_variants(
     const gpupower::gpusim::GpuSimulator& sim,
     const ExperimentConfig& experiment,
     std::span<const PatternSpec> phase_patterns,
     const gpupower::gpusim::dvfs::WorkloadTimeline& timeline,
-    const gemm::GemmProblem& problem, int seed_index);
+    const gemm::GemmProblem& problem, int seed_index,
+    const ActivityMemo* memo = nullptr);
 
 }  // namespace gpupower::core

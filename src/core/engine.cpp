@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include "core/activity_memo.hpp"
 #include "core/annotations.hpp"
 #include "core/obs/obs.hpp"
 #include "core/store/result_store.hpp"
@@ -79,6 +80,10 @@ struct EngineState {
   std::atomic<std::int64_t> reduce_ns[kScenarioKindCount] = {};
   std::atomic<std::int64_t> store_read_ns[kScenarioKindCount] = {};
   std::atomic<std::int64_t> store_write_ns[kScenarioKindCount] = {};
+  /// Working point -> activity, shared by the replicas of every kind.
+  /// Unused when the cache is disabled (a cache-less engine recomputes by
+  /// contract).
+  ActivityMemoTable activity_memo;
 
   /// The persistent store, when one is attached AND the cache is enabled
   /// (a cache-less engine recomputes by contract, so it must not read
@@ -208,25 +213,28 @@ void run_replica_task(EngineState& state,
                       int seed_index, std::int64_t enqueue_ns) {
   const ScenarioKindInfo& info = scenario_kind_info(job->config.kind());
   const std::size_t kind_index = static_cast<std::size_t>(info.kind);
+  obs::SpanArgs replica_args;
+  if (job->trace_key != nullptr) {
+    replica_args.arg("key", job->trace_key).arg("seed", seed_index);
+  }
   // The queue-wait interval opened at enqueue time closes now that a
   // worker picked the task up (0 = observability was off at submit).
-  obs_end("queue.wait", enqueue_ns, state.queue_wait_ns[kind_index]);
+  obs_end("queue.wait", enqueue_ns, state.queue_wait_ns[kind_index],
+          replica_args);
   const std::int64_t t0 = obs_begin();
+  const ActivityMemo memo(state.activity_memo, info.kind, job->trace_key);
   try {
     // Disjoint slots: no lock needed for the write, the job's atomic
     // countdown orders it before the reduction.
-    job->replicas[static_cast<std::size_t>(seed_index)] =
-        info.run_replica(job->config, seed_index);
+    job->replicas[static_cast<std::size_t>(seed_index)] = info.run_replica(
+        job->config, seed_index,
+        state.options.cache_enabled ? &memo : nullptr);
   } catch (...) {
     MutexLock lock(job->mutex);
     if (!job->error) job->error = std::current_exception();
   }
   if (t0 != 0) {
     const std::int64_t end_ns = obs::now_ns();
-    obs::SpanArgs replica_args;
-    if (job->trace_key != nullptr) {
-      replica_args.arg("key", job->trace_key).arg("seed", seed_index);
-    }
     obs::record_span(kReplicaSpanName[kind_index], t0, end_ns, replica_args);
     if (obs::metrics_enabled()) {
       state.compute_ns[kind_index].fetch_add(end_ns - t0,
@@ -487,6 +495,11 @@ EngineStats ExperimentEngine::stats() const {
     stats.replicas_run += kind.replicas_run;
     kind.store_writes = state_->store_writes[k].load(std::memory_order_relaxed);
     stats.store_writes += kind.store_writes;
+    kind.activity_memo_hits = state_->activity_memo.hits(kAllScenarioKinds[k]);
+    stats.activity_memo_hits += kind.activity_memo_hits;
+    kind.activity_memo_misses =
+        state_->activity_memo.misses(kAllScenarioKinds[k]);
+    stats.activity_memo_misses += kind.activity_memo_misses;
 
     kind.compute_seconds =
         static_cast<double>(
@@ -529,8 +542,11 @@ analysis::JsonValue ExperimentEngine::metrics_json() const {
 }
 
 void ExperimentEngine::clear_cache() {
-  MutexLock lock(state_->cache_mutex);
-  state_->cache.clear();
+  {
+    MutexLock lock(state_->cache_mutex);
+    state_->cache.clear();
+  }
+  state_->activity_memo.clear();
 }
 
 std::string engine_stats_line(const ExperimentEngine& engine) {
@@ -579,6 +595,10 @@ analysis::JsonValue kind_stats_json(const EngineKindStats& k) {
           JsonValue::integer(static_cast<long long>(k.store_hits)));
   out.set("store_writes",
           JsonValue::integer(static_cast<long long>(k.store_writes)));
+  out.set("activity_memo_hits",
+          JsonValue::integer(static_cast<long long>(k.activity_memo_hits)));
+  out.set("activity_memo_misses",
+          JsonValue::integer(static_cast<long long>(k.activity_memo_misses)));
   // Hit ratio of the lookups that reached the store: every store consult
   // either hits or falls through to a compute.
   const double lookups =
@@ -608,6 +628,8 @@ analysis::JsonValue engine_stats_json(const EngineStats& stats, int workers) {
   total.replicas_run = stats.replicas_run;
   total.store_hits = stats.store_hits;
   total.store_writes = stats.store_writes;
+  total.activity_memo_hits = stats.activity_memo_hits;
+  total.activity_memo_misses = stats.activity_memo_misses;
   total.compute_seconds = stats.compute_seconds;
   total.queue_wait_seconds = stats.queue_wait_seconds;
   total.reduce_seconds = stats.reduce_seconds;

@@ -28,6 +28,15 @@
 //    duplicates attach to the running job.
 //  - `submit` never blocks; per-seed tasks fan out across a fixed worker
 //    pool shared by all outstanding jobs of every kind.
+//  - Replicas of every kind share one activity walk per working point
+//    through the engine's ActivityMemoTable (core/activity_memo.hpp): a
+//    fleet grid sweeping caps x allocators builds its inputs and walks
+//    them once per seed, not once per grid point.  The memo key is the
+//    canonical pattern form plus dtype, n, the GEMM problem, base_seed,
+//    seed index and the sampling plan; it holds totals only, at most
+//    kActivityMemoCapacity completed entries (oldest evicted first), and
+//    clear_cache() empties it.  A cache-less engine (cache_enabled =
+//    false) bypasses it and recomputes every walk, like run_scenario.
 #pragma once
 
 #include <cstdint>
@@ -83,6 +92,10 @@ struct EngineKindStats {
   std::uint64_t replicas_run = 0;
   std::uint64_t store_hits = 0;    ///< submits served from the on-disk store
   std::uint64_t store_writes = 0;  ///< completed jobs persisted to the store
+  /// Working-point activity lookups of this kind's replicas served by the
+  /// engine's memo (waits on an in-flight walk included) / that walked.
+  std::uint64_t activity_memo_hits = 0;
+  std::uint64_t activity_memo_misses = 0;
 
   double compute_seconds = 0.0;      ///< replica hook time, summed per task
   double queue_wait_seconds = 0.0;   ///< enqueue -> worker-pickup, per task
@@ -98,6 +111,8 @@ struct EngineStats {
   std::uint64_t replicas_run = 0;  ///< seed-replica tasks executed
   std::uint64_t store_hits = 0;    ///< submits served from the on-disk store
   std::uint64_t store_writes = 0;  ///< completed jobs persisted to the store
+  std::uint64_t activity_memo_hits = 0;    ///< sums of the per-kind counts
+  std::uint64_t activity_memo_misses = 0;
 
   double compute_seconds = 0.0;      ///< sums of the per-kind timings below
   double queue_wait_seconds = 0.0;
@@ -184,7 +199,8 @@ class ExperimentEngine {
   [[nodiscard]] analysis::JsonValue metrics_json() const;
 
   /// Drops completed results from the cache (outstanding handles keep
-  /// their jobs alive); resets no counters.
+  /// their jobs alive) and completed entries from the activity memo;
+  /// resets no counters.
   void clear_cache();
 
  private:
@@ -199,7 +215,8 @@ class ExperimentEngine {
 /// per-kind) only when it occurred, so store-less runs print unchanged.
 [[nodiscard]] std::string engine_stats_line(const ExperimentEngine& engine);
 
-/// EngineStats as a stable JSON object: the aggregate counters and timing
+/// EngineStats as a stable JSON object: the aggregate counters (activity
+/// memo hits and misses included, which engine_stats_line omits) and timing
 /// fields plus a "by_kind" object keyed by kind name (every kind present,
 /// fixed key order), prefixed with "workers".  Embedded by the bench
 /// documents (tools/bench_export) and by metrics_json(), so the two

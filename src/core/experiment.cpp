@@ -4,47 +4,11 @@
 #include <utility>
 
 #include "analysis/stats.hpp"
+#include "core/activity_memo.hpp"
 #include "gpusim/dvfs/dsl_util.hpp"
 #include "patterns/rng.hpp"
 
 namespace gpupower::core {
-namespace {
-
-template <typename T>
-SeedReplicaResult run_typed_replica(const ExperimentConfig& config,
-                                    int seed_index) {
-  using gpupower::gpusim::GpuSimulator;
-
-  const GpuSimulator sim(config.gpu, replica_sim_options(config, seed_index));
-
-  const gemm::GemmProblem problem{config.n, config.n, config.n, 1.0f, 0.0f,
-                                  config.pattern.transpose_b};
-
-  const std::uint64_t replica_seed = patterns::derive_seed(
-      config.base_seed, static_cast<std::uint64_t>(seed_index));
-  const ExperimentInputs<T> inputs =
-      build_inputs<T>(config.pattern, config.dtype, config.n, replica_seed);
-  const gpupower::gpusim::PowerReport report =
-      sim.run_gemm(problem, config.dtype, inputs.a, inputs.b);
-
-  telemetry::SamplerConfig sampler = config.sampler;
-  sampler.seed = patterns::derive_seed(replica_seed, 0xD0C6);
-  const telemetry::PowerTrace trace =
-      telemetry::sample_run(report, config.effective_iterations(), sampler);
-
-  SeedReplicaResult replica;
-  replica.power_w = telemetry::reported_power_w(trace, sampler);
-  replica.alignment = inputs.alignment;
-  replica.weight_fraction = inputs.weight_fraction;
-  replica.rails = report.rails;
-  replica.iteration_s = report.realized_iteration_s;
-  replica.energy_per_iter_j = report.energy_j;
-  replica.throttled = report.throttled;
-  replica.clock_frac = report.effective_clock_frac;
-  return replica;
-}
-
-}  // namespace
 
 std::string validate_experiment_config(const ExperimentConfig& config) {
   using gpupower::gpusim::dvfs::detail::format_exact;
@@ -108,11 +72,37 @@ gpupower::gpusim::SimOptions replica_sim_options(const ExperimentConfig& config,
 }
 
 SeedReplicaResult run_seed_replica(const ExperimentConfig& config,
-                                   int seed_index) {
-  return with_storage_type(config.dtype, [&](auto tag) {
-    return run_typed_replica<typename decltype(tag)::type>(config,
-                                                           seed_index);
-  });
+                                   int seed_index, const ActivityMemo* memo) {
+  using gpupower::gpusim::GpuSimulator;
+
+  const GpuSimulator sim(config.gpu, replica_sim_options(config, seed_index));
+
+  const gemm::GemmProblem problem{config.n, config.n, config.n, 1.0f, 0.0f,
+                                  config.pattern.transpose_b};
+
+  const WorkingPointActivity activity = working_point_activity(
+      sim, problem, config, config.pattern, seed_index, memo);
+  const gpupower::gpusim::PowerReport report =
+      gpupower::gpusim::PowerCalculator(sim.descriptor())
+          .evaluate(problem, config.dtype, activity.totals);
+
+  const std::uint64_t replica_seed = patterns::derive_seed(
+      config.base_seed, static_cast<std::uint64_t>(seed_index));
+  telemetry::SamplerConfig sampler = config.sampler;
+  sampler.seed = patterns::derive_seed(replica_seed, 0xD0C6);
+  const telemetry::PowerTrace trace =
+      telemetry::sample_run(report, config.effective_iterations(), sampler);
+
+  SeedReplicaResult replica;
+  replica.power_w = telemetry::reported_power_w(trace, sampler);
+  replica.alignment = activity.alignment;
+  replica.weight_fraction = activity.weight_fraction;
+  replica.rails = report.rails;
+  replica.iteration_s = report.realized_iteration_s;
+  replica.energy_per_iter_j = report.energy_j;
+  replica.throttled = report.throttled;
+  replica.clock_frac = report.effective_clock_frac;
+  return replica;
 }
 
 ExperimentResult reduce_replicas(const ExperimentConfig& config,

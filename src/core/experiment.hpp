@@ -19,6 +19,8 @@
 
 namespace gpupower::core {
 
+class ActivityMemo;
+
 struct ExperimentConfig {
   gpupower::gpusim::GpuModel gpu = gpupower::gpusim::GpuModel::kA100PCIe;
   gpupower::numeric::DType dtype = gpupower::numeric::DType::kFP16;
@@ -84,8 +86,8 @@ struct SeedReplicaResult {
 
 /// Calls `f` with a std::type_identity tag for the storage type backing
 /// `dtype` (FP16 and FP16-T share float16 storage) — the single
-/// dtype-to-template dispatch both the classic replica path and the DVFS
-/// pipeline use, so the mapping cannot drift between them.
+/// dtype-to-template dispatch (working_point_activity, the one input build
+/// every replica kind shares, and the CLI), so the mapping cannot drift.
 template <typename F>
 decltype(auto) with_storage_type(gpupower::numeric::DType dtype, F&& f) {
   using gpupower::numeric::DType;
@@ -107,10 +109,12 @@ decltype(auto) with_storage_type(gpupower::numeric::DType dtype, F&& f) {
 [[nodiscard]] gpupower::gpusim::SimOptions replica_sim_options(
     const ExperimentConfig& config, int seed_index);
 
-/// Computes one seed replica (seed_index in [0, config.seeds)).  Pure and
-/// thread-safe: no shared mutable state, deterministic for its arguments.
-[[nodiscard]] SeedReplicaResult run_seed_replica(const ExperimentConfig& config,
-                                                 int seed_index);
+/// Computes one seed replica (seed_index in [0, config.seeds)).  Thread-safe
+/// and deterministic for its arguments; the working point's activity comes
+/// through `memo` when given (core/activity_memo.hpp), bit-identically.
+[[nodiscard]] SeedReplicaResult run_seed_replica(
+    const ExperimentConfig& config, int seed_index,
+    const ActivityMemo* memo = nullptr);
 
 /// Folds per-seed replicas (in seed order) into the reported result with the
 /// exact accumulation order of the historical serial loop.

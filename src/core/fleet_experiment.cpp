@@ -116,7 +116,8 @@ std::string validate_fleet_config(const FleetConfig& config) {
 }
 
 fleet::FleetRun run_fleet_seed_replica(const FleetConfig& config,
-                                       int seed_index) {
+                                       int seed_index,
+                                       const ActivityMemo* memo) {
   const std::string problem_text = validate_fleet_config(config);
   if (!problem_text.empty()) {
     throw std::invalid_argument("run_fleet_seed_replica: " + problem_text);
@@ -135,7 +136,8 @@ fleet::FleetRun run_fleet_seed_replica(const FleetConfig& config,
   const std::vector<gpupower::gpusim::ActivityTotals> variants =
       replica_activity_variants(activity_sim, config.experiment,
                                 config.phase_patterns,
-                                widest_timeline(config), problem, seed_index);
+                                widest_timeline(config), problem, seed_index,
+                                memo);
   const std::span<const gpupower::gpusim::ActivityTotals> variant_span(
       variants);
 

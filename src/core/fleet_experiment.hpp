@@ -97,12 +97,13 @@ struct FleetResult {
   gpupower::gpusim::fleet::FleetRun trace;
 };
 
-/// Replays one seed replica's fleet.  Pure and thread-safe, like
-/// run_seed_replica.  Throws std::invalid_argument on an invalid config
-/// (no devices, missing timeline, out-of-range indices, non-positive
-/// slice or cap).
+/// Replays one seed replica's fleet.  Thread-safe and deterministic, like
+/// run_seed_replica (activity through `memo` when given).  Throws
+/// std::invalid_argument on an invalid config (no devices, missing
+/// timeline, out-of-range indices, non-positive slice or cap).
 [[nodiscard]] gpupower::gpusim::fleet::FleetRun run_fleet_seed_replica(
-    const FleetConfig& config, int seed_index);
+    const FleetConfig& config, int seed_index,
+    const ActivityMemo* memo = nullptr);
 
 /// Folds per-seed replays (in seed order) into the reported result.
 [[nodiscard]] FleetResult reduce_fleet_replicas(

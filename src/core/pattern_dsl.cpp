@@ -347,4 +347,15 @@ std::string to_dsl(const PatternSpec& spec) {
   return out;
 }
 
+std::string canonical_dsl(const PatternSpec& spec) {
+  if (spec.sigma >= 0.0) return to_dsl(spec);
+  // build_inputs scales an explicit FP-domain sigma by 25/210 for INT8,
+  // which maps 210 to exactly INT8's default 25: the paper default and an
+  // explicit 210 are one pattern on every dtype.
+  PatternSpec resolved = spec;
+  resolved.sigma =
+      gpupower::numeric::default_sigma(gpupower::numeric::DType::kFP32);
+  return to_dsl(resolved);
+}
+
 }  // namespace gpupower::core

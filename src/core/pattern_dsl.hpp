@@ -46,4 +46,9 @@ struct ParseResult {
 /// the display form and the spec-document form are one string.
 [[nodiscard]] std::string to_dsl(const PatternSpec& spec);
 
+/// to_dsl with the paper-default sigma (< 0) resolved to its value, 210:
+/// the one pattern form the scenario cache key and the activity memo key
+/// print, so patterns that build identical inputs share it.
+[[nodiscard]] std::string canonical_dsl(const PatternSpec& spec);
+
 }  // namespace gpupower::core

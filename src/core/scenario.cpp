@@ -37,8 +37,9 @@ std::string static_validate(const ScenarioConfig& config) {
   return validate_experiment_config(config.static_config());
 }
 
-ScenarioReplica static_replica(const ScenarioConfig& config, int seed_index) {
-  return run_seed_replica(config.static_config(), seed_index);
+ScenarioReplica static_replica(const ScenarioConfig& config, int seed_index,
+                               const ActivityMemo* memo) {
+  return run_seed_replica(config.static_config(), seed_index, memo);
 }
 
 ScenarioResult static_reduce(const ScenarioConfig& config,
@@ -58,8 +59,9 @@ std::string dvfs_validate(const ScenarioConfig& config) {
   return validate_dvfs_config(config.dvfs());
 }
 
-ScenarioReplica dvfs_replica(const ScenarioConfig& config, int seed_index) {
-  return run_dvfs_seed_replica(config.dvfs(), seed_index);
+ScenarioReplica dvfs_replica(const ScenarioConfig& config, int seed_index,
+                             const ActivityMemo* memo) {
+  return run_dvfs_seed_replica(config.dvfs(), seed_index, memo);
 }
 
 ScenarioResult dvfs_reduce(const ScenarioConfig& config,
@@ -80,8 +82,9 @@ std::string fleet_validate(const ScenarioConfig& config) {
   return validate_fleet_config(config.fleet());
 }
 
-ScenarioReplica fleet_replica(const ScenarioConfig& config, int seed_index) {
-  return run_fleet_seed_replica(config.fleet(), seed_index);
+ScenarioReplica fleet_replica(const ScenarioConfig& config, int seed_index,
+                              const ActivityMemo* memo) {
+  return run_fleet_seed_replica(config.fleet(), seed_index, memo);
 }
 
 ScenarioResult fleet_reduce(const ScenarioConfig& config,
@@ -656,7 +659,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   std::vector<ScenarioReplica> replicas;
   replicas.reserve(static_cast<std::size_t>(config.seeds()));
   for (int s = 0; s < config.seeds(); ++s) {
-    replicas.push_back(info.run_replica(config, s));
+    replicas.push_back(info.run_replica(config, s, nullptr));
   }
   return info.reduce(config, replicas);
 }

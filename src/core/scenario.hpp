@@ -113,8 +113,11 @@ struct ScenarioKindInfo {
   /// Empty string when the config is submittable; else the first problem
   /// (the engine throws std::invalid_argument with it).
   std::string (*validate)(const ScenarioConfig&) = nullptr;
-  ScenarioReplica (*run_replica)(const ScenarioConfig&, int seed_index) =
-      nullptr;
+  /// One seed replica.  The working point's activity comes through the
+  /// memo when one is given (the engine's), else it is computed directly;
+  /// the replica is bit-identical either way.
+  ScenarioReplica (*run_replica)(const ScenarioConfig&, int seed_index,
+                                 const ActivityMemo* memo) = nullptr;
   /// Consumes the replica slots (they are moved from), folding in seed
   /// order.
   ScenarioResult (*reduce)(const ScenarioConfig&,
@@ -159,8 +162,9 @@ struct ScenarioKindInfo {
 [[nodiscard]] std::string canonical_scenario_key(const ScenarioConfig& config);
 
 /// The one serial reference: every seed replica in order, reduced through
-/// the same per-kind hooks the engine uses.  Prefer ExperimentEngine::submit
-/// for anything batched.
+/// the same per-kind hooks the engine uses, with no activity memo (every
+/// replica walks its own activity).  Prefer ExperimentEngine::submit for
+/// anything batched.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& config);
 
 /// Structured export through the kind's exporter (to_json / dvfs_to_json /

@@ -321,7 +321,7 @@ bool parse_experiment(const JsonValue* obj, std::string_view path, Ctx& ctx,
   if (!builder.valid()) {
     return ctx.fail(path.empty() ? "experiment" : path, builder.error());
   }
-  out = builder.build();
+  out = std::move(builder).build();
   return true;
 }
 
@@ -530,7 +530,7 @@ bool parse_dvfs(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
     builder.pstates(pstates);
   }
   if (!builder.valid()) return ctx.fail("", builder.error());
-  out = ScenarioConfig(builder.build());
+  out = ScenarioConfig(std::move(builder).build());
   return true;
 }
 
@@ -699,7 +699,7 @@ bool parse_fleet(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
     builder.pstates(pstates);
   }
   if (!builder.valid()) return ctx.fail("", builder.error());
-  out = ScenarioConfig(builder.build());
+  out = ScenarioConfig(std::move(builder).build());
   return true;
 }
 
@@ -866,56 +866,6 @@ bool parse_campaign(const JsonValue& doc, Ctx& ctx, ScenarioSpec& out) {
   return true;
 }
 
-/// Rebuilds `in` with the dotted `path` set to `leaf` (missing intermediate
-/// objects are created; an existing non-object on the path is an error).
-bool set_path(const JsonValue& in, std::string_view path,
-              const JsonValue& leaf, JsonValue& out, std::string& error) {
-  const std::size_t dot = path.find('.');
-  const std::string_view head =
-      dot == std::string_view::npos ? path : path.substr(0, dot);
-  if (head.empty()) {
-    error = "empty path segment";
-    return false;
-  }
-  if (!in.is_object()) {
-    error = "'" + std::string(head) + "' would patch inside a non-object";
-    return false;
-  }
-  JsonValue rebuilt = JsonValue::object();
-  bool replaced = false;
-  for (const std::string& key : in.keys()) {
-    const JsonValue* member = in.find(key);
-    if (key == head && !replaced) {
-      replaced = true;
-      if (dot == std::string_view::npos) {
-        rebuilt.set(key, leaf);
-      } else {
-        JsonValue child;
-        if (!set_path(*member, path.substr(dot + 1), leaf, child, error)) {
-          return false;
-        }
-        rebuilt.set(key, std::move(child));
-      }
-    } else if (key != head) {
-      rebuilt.set(key, *member);
-    }
-  }
-  if (!replaced) {
-    if (dot == std::string_view::npos) {
-      rebuilt.set(head, leaf);
-    } else {
-      JsonValue child;
-      if (!set_path(JsonValue::object(), path.substr(dot + 1), leaf, child,
-                    error)) {
-        return false;
-      }
-      rebuilt.set(head, std::move(child));
-    }
-  }
-  out = std::move(rebuilt);
-  return true;
-}
-
 // --- serialisation ----------------------------------------------------------
 //
 // One serialiser behind spec_to_json and canonical_scenario_key.  `key`
@@ -928,14 +878,7 @@ bool set_path(const JsonValue& in, std::string_view path,
 constexpr std::size_t kMaxKeyedPhases = 64;
 
 JsonValue pattern_json(const PatternSpec& pattern, bool key) {
-  if (!key || pattern.sigma >= 0.0) return JsonValue::string(to_dsl(pattern));
-  // build_inputs scales an explicit FP-domain sigma by 25/210 for INT8,
-  // which maps 210 to exactly INT8's default 25: the paper default and an
-  // explicit 210 are one scenario on every dtype.
-  PatternSpec resolved = pattern;
-  resolved.sigma =
-      gpupower::numeric::default_sigma(gpupower::numeric::DType::kFP32);
-  return JsonValue::string(to_dsl(resolved));
+  return JsonValue::string(key ? canonical_dsl(pattern) : to_dsl(pattern));
 }
 
 JsonValue experiment_to_json(const ExperimentConfig& config, bool key,
@@ -1190,20 +1133,39 @@ bool expand_campaign(const ScenarioSpec& spec, std::vector<CampaignPoint>& out,
   for (const CampaignAxis& axis : spec.axes) total *= axis.values.size();
   out.reserve(total);
 
-  std::vector<std::size_t> index(spec.axes.size(), 0);
-  for (std::size_t point = 0; point < total; ++point) {
-    CampaignPoint entry;
-    JsonValue doc = spec.base;
+  // Sets every axis path of the point `index` names; false with `error`
+  // naming the axis on the first failed patch.
+  const auto patch_point = [&spec](const std::vector<std::size_t>& index,
+                                   JsonValue& doc, std::string& error) {
     for (std::size_t a = 0; a < spec.axes.size(); ++a) {
       const CampaignAxis& axis = spec.axes[a];
-      const CampaignAxisValue& value = axis.values[index[a]];
-      JsonValue patched;
       std::string patch_error;
-      if (!set_path(doc, axis.field, value.value, patched, patch_error)) {
+      if (!detail::patch_spec_path(doc, axis.field,
+                                   axis.values[index[a]].value, patch_error)) {
         error = "axis '" + axis.field + "': " + patch_error;
         return false;
       }
-      doc = std::move(patched);
+    }
+    return true;
+  };
+
+  // One working document for the whole grid: every point sets every axis
+  // path, so patching the previous point's document yields what patching
+  // a fresh copy of the base would.  The exception is an axis patching
+  // inside a value that a later axis replaced with a non-object on the
+  // previous point, so a failed patch retries from the base before the
+  // point fails.
+  JsonValue doc = spec.base;
+  std::vector<std::size_t> index(spec.axes.size(), 0);
+  for (std::size_t point = 0; point < total; ++point) {
+    CampaignPoint entry;
+    if (!patch_point(index, doc, error)) {
+      doc = spec.base;
+      if (!patch_point(index, doc, error)) return false;
+    }
+    for (std::size_t a = 0; a < spec.axes.size(); ++a) {
+      const CampaignAxis& axis = spec.axes[a];
+      const CampaignAxisValue& value = axis.values[index[a]];
       if (a != 0) entry.label += "@";
       entry.label += value.label;
       entry.coords.emplace_back(axis.field, value.label);
@@ -1284,11 +1246,32 @@ bool detail::read_number(const JsonValue* v, std::string_view path,
   return true;
 }
 
-bool detail::set_spec_path(const analysis::JsonValue& in,
-                           std::string_view path,
-                           const analysis::JsonValue& leaf,
-                           analysis::JsonValue& out, std::string& error) {
-  return set_path(in, path, leaf, out, error);
+// Of duplicate member names only the first, the one every reader sees, is
+// patched.
+bool detail::patch_spec_path(analysis::JsonValue& doc, std::string_view path,
+                             const analysis::JsonValue& leaf,
+                             std::string& error) {
+  const std::size_t dot = path.find('.');
+  const std::string_view head =
+      dot == std::string_view::npos ? path : path.substr(0, dot);
+  if (head.empty()) {
+    error = "empty path segment";
+    return false;
+  }
+  if (!doc.is_object()) {
+    error = "'" + std::string(head) + "' would patch inside a non-object";
+    return false;
+  }
+  JsonValue* member = doc.find(head);
+  if (member == nullptr) {
+    doc.set(head, JsonValue::object());
+    member = doc.find(head);
+  }
+  if (dot == std::string_view::npos) {
+    *member = leaf;
+    return true;
+  }
+  return patch_spec_path(*member, path.substr(dot + 1), leaf, error);
 }
 
 bool submit_campaign(ExperimentEngine& engine, const ScenarioSpec& spec,

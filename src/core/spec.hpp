@@ -155,13 +155,13 @@ struct CampaignRun {
 
 namespace detail {
 /// The dotted-path document patch campaign axes expand with, shared with
-/// dag `$ref` substitutions: rebuilds `in` with `path` set to `leaf`
+/// dag `$ref` substitutions: sets `path` inside `doc` to `leaf`, in place
 /// (missing intermediate objects are created; an existing non-object on
 /// the path fails with `error` naming the segment).
-[[nodiscard]] bool set_spec_path(const analysis::JsonValue& in,
-                                 std::string_view path,
-                                 const analysis::JsonValue& leaf,
-                                 analysis::JsonValue& out, std::string& error);
+[[nodiscard]] bool patch_spec_path(analysis::JsonValue& doc,
+                                   std::string_view path,
+                                   const analysis::JsonValue& leaf,
+                                   std::string& error);
 
 /// The strict field readers behind the spec and dag parsers.  Each
 /// failure records "<path>: <message>" into the context (the first failure

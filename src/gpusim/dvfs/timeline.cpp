@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "gpusim/dvfs/dsl_util.hpp"
@@ -24,7 +25,8 @@ double clamp_util(double u) { return std::clamp(u, 0.0, 1.0); }
 WorkloadTimeline::WorkloadTimeline(std::vector<TimelinePhase> phases) {
   for (const TimelinePhase& phase : phases) {
     if (phase.duration_s <= 0.0) continue;
-    append(constant(phase.utilization, phase.duration_s, phase.pattern));
+    push({phase.duration_s, clamp_util(phase.utilization),
+          std::max(phase.pattern, -1)});
   }
 }
 
@@ -32,10 +34,7 @@ WorkloadTimeline WorkloadTimeline::constant(double utilization,
                                             double duration_s, int pattern) {
   WorkloadTimeline timeline;
   if (duration_s > 0.0) {
-    timeline.phases_.push_back(
-        {duration_s, clamp_util(utilization), std::max(pattern, -1)});
-    timeline.duration_s_ = duration_s;
-    timeline.ends_.push_back(duration_s);
+    timeline.push({duration_s, clamp_util(utilization), std::max(pattern, -1)});
   }
   return timeline;
 }
@@ -59,10 +58,10 @@ WorkloadTimeline WorkloadTimeline::burst(double period_s, double duty,
   double t = 0.0;
   while (t < duration_s - kEps) {
     const double on = std::min(period_s * duty, duration_s - t);
-    if (on > 0.0) timeline.append(constant(high, on));
+    if (on > 0.0) timeline.push({on, clamp_util(high), -1});
     t += on;
     const double off = std::min(period_s * (1.0 - duty), duration_s - t);
-    if (off > 0.0) timeline.append(constant(low, off));
+    if (off > 0.0) timeline.push({off, clamp_util(low), -1});
     t += off;
     if (on <= 0.0 && off <= 0.0) break;  // degenerate duty, avoid spinning
   }
@@ -81,7 +80,7 @@ WorkloadTimeline WorkloadTimeline::ramp(double from, double to, int steps,
     const double frac =
         steps == 1 ? 0.5
                    : static_cast<double>(i) / static_cast<double>(steps - 1);
-    timeline.append(constant(from + (to - from) * frac, step_s));
+    timeline.push({step_s, clamp_util(from + (to - from) * frac), -1});
   }
   return timeline;
 }
@@ -93,7 +92,7 @@ WorkloadTimeline WorkloadTimeline::from_trace(
   for (const telemetry::UtilSample& sample : trace.samples()) {
     const double window = sample.t_s - prev_t;
     if (window > 0.0) {
-      timeline.append(constant(sample.utilization, window));
+      timeline.push({window, clamp_util(sample.utilization), -1});
     }
     prev_t = std::max(prev_t, sample.t_s);
   }
@@ -101,24 +100,33 @@ WorkloadTimeline WorkloadTimeline::from_trace(
 }
 
 WorkloadTimeline& WorkloadTimeline::append(const WorkloadTimeline& other) {
-  for (const TimelinePhase& phase : other.phases_) {
-    // Merge equal-utilization neighbours so trace round trips through
-    // to_util_trace/from_trace compare structurally equal.  Phases carrying
-    // different pattern overrides never merge — they are different inputs
-    // even at equal load.
-    if (!phases_.empty() &&
-        phases_.back().utilization == phase.utilization &&
-        phases_.back().pattern == phase.pattern) {
-      phases_.back().duration_s += phase.duration_s;
-      duration_s_ += phase.duration_s;
-      ends_.back() = duration_s_;
-      continue;
-    }
-    phases_.push_back(phase);
-    duration_s_ += phase.duration_s;
-    ends_.push_back(duration_s_);
+  // One allocation per append, still geometric: a long chain of short
+  // appends (a many-stage DSL) stays linear.
+  const std::size_t needed = phases_.size() + other.phases_.size();
+  if (needed > phases_.capacity()) {
+    const std::size_t capacity = std::max(needed, 2 * phases_.capacity());
+    phases_.reserve(capacity);
+    ends_.reserve(capacity);
   }
+  for (const TimelinePhase& phase : other.phases_) push(phase);
   return *this;
+}
+
+void WorkloadTimeline::push(const TimelinePhase& phase) {
+  // Merge equal-utilization neighbours so trace round trips through
+  // to_util_trace/from_trace compare structurally equal.  Phases carrying
+  // different pattern overrides never merge — they are different inputs
+  // even at equal load.
+  if (!phases_.empty() && phases_.back().utilization == phase.utilization &&
+      phases_.back().pattern == phase.pattern) {
+    phases_.back().duration_s += phase.duration_s;
+    duration_s_ += phase.duration_s;
+    ends_.back() = duration_s_;
+    return;
+  }
+  phases_.push_back(phase);
+  duration_s_ += phase.duration_s;
+  ends_.push_back(duration_s_);
 }
 
 double WorkloadTimeline::offered_at(double t_s) const noexcept {
@@ -260,7 +268,11 @@ TimelineParseResult parse_timeline(std::string_view text) {
       stage = WorkloadTimeline(std::move(stamped));
     }
 
-    result.timeline.append(stage);
+    if (any_stage) {
+      result.timeline.append(stage);
+    } else {
+      result.timeline = std::move(stage);
+    }
     any_stage = true;
     if (cursor.at_end()) break;
     if (!cursor.accept('|')) return fail("expected '|' between stages");

@@ -84,6 +84,9 @@ class WorkloadTimeline {
   [[nodiscard]] telemetry::UtilTrace to_util_trace(double period_s) const;
 
  private:
+  /// Appends one phase, merging it into an equal neighbour (see append).
+  void push(const TimelinePhase& phase);
+
   std::vector<TimelinePhase> phases_;
   std::vector<double> ends_;  ///< cumulative phase end times
   double duration_s_ = 0.0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/figures.hpp"
 #include "core/pattern_dsl.hpp"
 
@@ -127,6 +129,47 @@ TEST(ConfigBuilder, EnvOutOfRangeValuesAreErrors) {
   env.seeds = 2;
   env.k_fraction = 2.0;
   EXPECT_FALSE(ExperimentConfigBuilder().env(env).valid());
+}
+
+TEST(FleetConfigBuilder, StaggeredDevicesShiftTimelinesAndShareOneGovernor) {
+  namespace dvfs = gpupower::gpusim::dvfs;
+  const dvfs::WorkloadTimeline burst =
+      dvfs::parse_timeline("burst(period=0.4, duty=35%, dur=2)").timeline;
+  FleetConfigBuilder builder;
+  builder.add_staggered_devices(burst, 3, 0.1,
+                                gpupower::gpusim::GpuModel::kH100SXM,
+                                "utilization(up=70%, down=30%)");
+  ASSERT_TRUE(builder.error().empty()) << builder.error();
+  const FleetConfig config = std::move(builder).build();
+  ASSERT_EQ(config.devices.size(), 3u);
+  ASSERT_EQ(config.timelines.size(), 3u);
+  const dvfs::GovernorConfig governor =
+      dvfs::parse_governor("utilization(up=70%, down=30%)").config;
+  for (int i = 0; i < 3; ++i) {
+    const FleetDeviceConfig& device = config.devices[static_cast<std::size_t>(i)];
+    EXPECT_EQ(device.gpu, gpupower::gpusim::GpuModel::kH100SXM);
+    EXPECT_EQ(device.timeline, i);
+    EXPECT_EQ(device.priority, 3 - i);
+    EXPECT_EQ(device.governor.boost_util, governor.boost_util);
+    EXPECT_EQ(device.governor.low_util, governor.low_util);
+    // Device i idles i * 0.1 s, then replays the burst.
+    dvfs::WorkloadTimeline expected;
+    if (i > 0) expected = dvfs::WorkloadTimeline::idle(0.1 * i);
+    expected.append(burst);
+    const auto& phases = config.timelines[static_cast<std::size_t>(i)].phases();
+    ASSERT_EQ(phases.size(), expected.phases().size());
+    for (std::size_t p = 0; p < phases.size(); ++p) {
+      EXPECT_EQ(phases[p].duration_s, expected.phases()[p].duration_s);
+      EXPECT_EQ(phases[p].utilization, expected.phases()[p].utilization);
+    }
+  }
+
+  FleetConfigBuilder bad;
+  bad.add_staggered_devices(burst, 2, 0.1,
+                            gpupower::gpusim::GpuModel::kA100PCIe, "turbo()");
+  EXPECT_NE(bad.error().find("governor DSL error at offset"),
+            std::string::npos)
+      << bad.error();
 }
 
 }  // namespace

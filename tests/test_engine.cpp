@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "core/activity_memo.hpp"
 #include "core/config_builder.hpp"
 #include "core/figures.hpp"
+#include "gpusim/dvfs/timeline.hpp"
 
 namespace gpupower::core {
 namespace {
@@ -241,6 +245,216 @@ TEST(ExperimentEngine, EngineOutlivesManySubmissions) {
   engine.wait_all();
   for (const auto& handle : handles) EXPECT_TRUE(handle.ready());
   EXPECT_EQ(engine.stats().jobs_computed, 12u);
+}
+
+// --- the activity memo ------------------------------------------------------
+
+/// One working point (pattern, dtype, n, base_seed, sampling) at 3 seeds.
+ExperimentConfig memo_working_point() {
+  ExperimentConfig config = small_config();
+  config.n = 128;
+  config.seeds = 3;
+  config.base_seed = 7;
+  return config;
+}
+
+DvfsConfig memo_dvfs(const ExperimentConfig& experiment) {
+  DvfsConfig config;
+  config.experiment = experiment;
+  config.timeline =
+      gpupower::gpusim::dvfs::parse_timeline(
+          "burst(period=0.1, duty=30%, high=1, low=10%, dur=0.3)")
+          .timeline;
+  return config;
+}
+
+/// Two devices of different models, capped: neither the GPU nor the cap
+/// enters the activity walk.
+FleetConfig memo_fleet(const ExperimentConfig& experiment, double cap_w) {
+  const DvfsConfig dvfs_config = memo_dvfs(experiment);
+  FleetConfig config;
+  config.experiment = experiment;
+  config.timelines = {dvfs_config.timeline};
+  for (const auto gpu : {gpupower::gpusim::GpuModel::kA100PCIe,
+                         gpupower::gpusim::GpuModel::kH100SXM}) {
+    FleetDeviceConfig device;
+    device.gpu = gpu;
+    config.devices.push_back(device);
+  }
+  config.allocator.cap_w = cap_w;
+  return config;
+}
+
+/// The static, dvfs and fleet scenarios of one working point.
+std::vector<ScenarioConfig> memo_scenarios() {
+  const ExperimentConfig experiment = memo_working_point();
+  return {ScenarioConfig(experiment), ScenarioConfig(memo_dvfs(experiment)),
+          ScenarioConfig(memo_fleet(experiment, 500.0))};
+}
+
+std::string result_bytes(const ScenarioResult& result) {
+  return scenario_result_to_json(result).dump();
+}
+
+TEST(ActivityMemo, KindsShareOneWalkPerSeedAndMatchSerialBytes) {
+  ExperimentEngine engine(four_workers());
+  const std::vector<ScenarioConfig> configs = memo_scenarios();
+  std::vector<ScenarioHandle> handles;
+  for (const ScenarioConfig& config : configs) {
+    handles.push_back(engine.submit(config));
+  }
+  engine.wait_all();
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(result_bytes(handles[i].get()),
+              result_bytes(run_scenario(configs[i])))
+        << name(configs[i].kind());
+  }
+  // 3 kinds x 3 seeds of one working point: one walk per seed.
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.activity_memo_misses, 3u);
+  EXPECT_EQ(stats.activity_memo_hits, 6u);
+  for (const auto kind : kAllScenarioKinds) {
+    EXPECT_EQ(stats.of(kind).activity_memo_hits +
+                  stats.of(kind).activity_memo_misses,
+              3u)
+        << name(kind);
+  }
+  const analysis::JsonValue json = engine_stats_json(stats, engine.workers());
+  EXPECT_EQ(json.find("activity_memo_misses")->as_number(), 3.0);
+  EXPECT_EQ(json.find("activity_memo_hits")->as_number(), 6.0);
+  EXPECT_EQ(engine_stats_line(engine).find("memo"), std::string::npos);
+}
+
+TEST(ActivityMemo, DtypeAndSamplingPlanAreSeparateWorkingPoints) {
+  // Same pattern, n and seeds; each dtype and each sampling plan walks
+  // its own activity.
+  ExperimentEngine engine(four_workers());
+  std::vector<ScenarioConfig> configs;
+  for (const auto dtype : gpupower::numeric::kAllDTypes) {
+    for (const std::size_t tiles : {std::size_t{4}, std::size_t{6}}) {
+      ExperimentConfig config = small_config(dtype);
+      config.sampling.max_tiles = tiles;
+      configs.emplace_back(config);
+    }
+  }
+  std::vector<ScenarioHandle> handles;
+  for (const ScenarioConfig& config : configs) {
+    handles.push_back(engine.submit(config));
+  }
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(result_bytes(handles[i].get()),
+              result_bytes(run_scenario(configs[i])));
+  }
+  EXPECT_EQ(engine.stats().activity_memo_misses, configs.size() * 2);
+  EXPECT_EQ(engine.stats().activity_memo_hits, 0u);
+}
+
+TEST(ActivityMemo, CachelessEngineBypassesTheMemo) {
+  EngineOptions options = four_workers();
+  options.cache_enabled = false;
+  ExperimentEngine engine(options);
+  const std::vector<ScenarioConfig> configs = memo_scenarios();
+  for (const ScenarioConfig& config : configs) {
+    EXPECT_EQ(result_bytes(engine.submit(config).get()),
+              result_bytes(run_scenario(config)));
+  }
+  EXPECT_EQ(engine.stats().activity_memo_hits, 0u);
+  EXPECT_EQ(engine.stats().activity_memo_misses, 0u);
+}
+
+TEST(ActivityMemo, ConcurrentDuplicatesWalkEachKeyOnce) {
+  // 8 scenarios with distinct cache keys (the cap differs) but one working
+  // point, submitted together from 8 threads: every replica asks for the
+  // same 2 keys at once, and in-flight sharing must keep it to 2 walks.
+  ExperimentEngine engine(four_workers());
+  ExperimentConfig experiment = memo_working_point();
+  experiment.n = 256;
+  experiment.seeds = 2;
+  std::vector<ScenarioConfig> configs;
+  for (int i = 0; i < 8; ++i) {
+    configs.emplace_back(memo_fleet(experiment, 300.0 + 25.0 * i));
+  }
+  std::vector<ScenarioHandle> handles(configs.size());
+  std::vector<std::thread> submitters;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    submitters.emplace_back(
+        [&, i] { handles[i] = engine.submit(configs[i]); });
+  }
+  for (std::thread& thread : submitters) thread.join();
+  engine.wait_all();
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.jobs_computed, 8u);
+  EXPECT_EQ(stats.replicas_run, 16u);
+  EXPECT_EQ(stats.of(ScenarioKind::kFleet).activity_memo_misses, 2u);
+  EXPECT_EQ(stats.of(ScenarioKind::kFleet).activity_memo_hits, 14u);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(result_bytes(handles[i].get()),
+              result_bytes(run_scenario(configs[i])));
+  }
+}
+
+TEST(ActivityMemo, FillingPastCapacityKeepsResultsIdentical) {
+  constexpr std::size_t kCapacity = 4;
+  ActivityMemoTable table(kCapacity);
+  const ActivityMemo memo(table, ScenarioKind::kStatic);
+  const ExperimentConfig config = small_config();
+  const gpupower::gpusim::GpuSimulator sim(config.gpu,
+                                           replica_sim_options(config, 0));
+  const gemm::GemmProblem problem = gemm::GemmProblem::square(config.n);
+  const auto same_walk = [&](int seed) {
+    const WorkingPointActivity memoised = working_point_activity(
+        sim, problem, config, config.pattern, seed, &memo);
+    const WorkingPointActivity direct =
+        working_point_activity(sim, problem, config, config.pattern, seed);
+    return memoised.totals == direct.totals &&
+           memoised.alignment == direct.alignment &&
+           memoised.weight_fraction == direct.weight_fraction;
+  };
+  // Three working points past the cap: the oldest three are evicted.
+  const int filled = static_cast<int>(kCapacity) + 3;
+  for (int seed = 0; seed < filled; ++seed) {
+    ASSERT_TRUE(same_walk(seed)) << seed;
+  }
+  EXPECT_EQ(table.size(), kCapacity);
+  EXPECT_EQ(table.misses(ScenarioKind::kStatic),
+            static_cast<std::uint64_t>(filled));
+  EXPECT_EQ(table.hits(ScenarioKind::kStatic), 0u);
+  // The newest entry is held (a hit); the oldest was evicted (a miss).
+  EXPECT_TRUE(same_walk(filled - 1));
+  EXPECT_EQ(table.hits(ScenarioKind::kStatic), 1u);
+  EXPECT_TRUE(same_walk(0));
+  EXPECT_EQ(table.misses(ScenarioKind::kStatic),
+            static_cast<std::uint64_t>(filled) + 1);
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(ActivityMemo, WorkerCountDoesNotChangeBytes) {
+  const std::vector<ScenarioConfig> configs = memo_scenarios();
+  std::vector<std::string> bytes[2];
+  const int workers[2] = {1, 4};
+  for (int w = 0; w < 2; ++w) {
+    ExperimentEngine engine(EngineOptions::with_workers(workers[w]));
+    std::vector<ScenarioHandle> handles;
+    for (const ScenarioConfig& config : configs) {
+      handles.push_back(engine.submit(config));
+    }
+    for (const ScenarioHandle& handle : handles) {
+      bytes[w].push_back(result_bytes(handle.get()));
+    }
+    EXPECT_EQ(engine.stats().activity_memo_misses, 3u);
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
+}
+
+TEST(ActivityMemo, ClearCacheEmptiesTheMemo) {
+  ExperimentEngine engine(four_workers());
+  const ExperimentConfig config = memo_working_point();
+  (void)engine.submit(config).get();
+  engine.clear_cache();
+  (void)engine.submit(config).get();
+  EXPECT_EQ(engine.stats().activity_memo_misses, 6u);
+  EXPECT_EQ(engine.stats().activity_memo_hits, 0u);
 }
 
 }  // namespace

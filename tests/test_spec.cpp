@@ -599,6 +599,47 @@ TEST(Spec, CampaignPatchCreatesMissingIntermediateObjects) {
   EXPECT_EQ(points[1].config.experiment().n, 96u);
 }
 
+TEST(Spec, CampaignPointsPatchLikeAFreshBase) {
+  // Expansion patches one working document from point to point.  Here a
+  // later axis replaces "governor" with a DSL string, so on the next point
+  // the earlier axis would patch inside a string; every point must still
+  // expand as if patched from the base.
+  const SpecParseResult parsed = parse_scenario_spec_text(R"json({
+    "scenario": "campaign",
+    "base": {
+      "scenario": "dvfs",
+      "experiment": {"dtype": "fp16", "n": 64, "seeds": 1},
+      "timeline": "constant(util=50%, dur=0.1)"
+    },
+    "axes": [
+      {"field": "governor.boost_util", "values": [0.7, 0.8]},
+      {"field": "governor", "values": [
+        {"value": {"policy": "utilization", "low_util": 0.2}, "label": "obj"},
+        {"value": "fixed(1)", "label": "dsl"}]}
+    ]
+  })json");
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  std::vector<CampaignPoint> points;
+  std::string error;
+  ASSERT_TRUE(expand_campaign(parsed.spec, points, error)) << error;
+  ASSERT_EQ(points.size(), 4u);
+  EXPECT_EQ(points[2].label, "0.8@obj");
+  // The later axis wins: point 2's governor is exactly the object value.
+  const SpecParseResult single = parse_scenario_spec_text(R"json({
+    "scenario": "dvfs",
+    "experiment": {"dtype": "fp16", "n": 64, "seeds": 1},
+    "timeline": "constant(util=50%, dur=0.1)",
+    "governor": {"policy": "utilization", "low_util": 0.2}
+  })json");
+  ASSERT_TRUE(single.ok) << single.error;
+  EXPECT_EQ(canonical_scenario_key(points[2].config),
+            canonical_scenario_key(single.spec.config));
+  EXPECT_EQ(canonical_scenario_key(points[0].config),
+            canonical_scenario_key(points[2].config));
+  EXPECT_EQ(points[3].config.dvfs().governor.policy,
+            gpupower::gpusim::dvfs::GovernorConfig::Policy::kFixed);
+}
+
 // --- scenario submission equivalences --------------------------------------
 
 TEST(Scenario, EngineMatchesRunScenarioForEveryKind) {

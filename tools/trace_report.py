@@ -6,8 +6,9 @@
                     mean and max duration per distinct span name;
   by scenario       the same totals grouped by the scenario canonical key
                     each span carries in args.key (engine.submit /
-                    replica.* / reduce.* / store.* spans are attributed;
-                    unattributed spans are reported as a remainder line).
+                    queue.wait / replica.* / activity.memo / reduce.* /
+                    store.* spans are attributed; unattributed spans are
+                    reported as a remainder line).
 
 Self time uses the exporter's guarantees (ts-sorted events, proper
 per-tid nesting — see tools/check_trace.py): a per-thread stack charges
@@ -280,10 +281,10 @@ def selftest() -> int:
             span("b", 210.0, 80.0),
             span("c", 220.0, 10.0),
             # tid 2: one attributed replica, one cross-thread queue.wait
-            # overlapping it (exempt from nesting, full dur is self), and
-            # a second scenario key.
+            # of k1's next seed overlapping it (exempt from nesting, full
+            # dur is self), and a second scenario key.
             span("replica.fleet", 0.0, 40.0, tid=2, key=k1, seed=0),
-            span("queue.wait", 5.0, 60.0, tid=2),
+            span("queue.wait", 5.0, 60.0, tid=2, key=k1, seed=1),
             span("engine.submit", 80.0, 10.0, tid=2, key=k2, kind="static"),
         ],
         "displayTimeUnit": "ms",
@@ -309,12 +310,13 @@ def selftest() -> int:
     expect("b.self", report.by_name["b"].self_us, 70.0)
     expect("c.self", report.by_name["c"].self_us, 10.0)
     expect("queue.wait.self", report.by_name["queue.wait"].self_us, 60.0)
-    # k1: submit 50 + store.read 20 + reduce 30 + replica 40.
-    expect("k1.self", report.by_key[k1].self_us, 140.0)
-    expect("k1.count", report.by_key[k1].count, 4)
+    # k1: submit 50 + store.read 20 + reduce 30 + replica 40 + queue.wait
+    # 60.
+    expect("k1.self", report.by_key[k1].self_us, 200.0)
+    expect("k1.count", report.by_key[k1].count, 5)
     expect("k2.self", report.by_key[k2].self_us, 10.0)
-    # a/b/c (100 total) + queue.wait (60) carry no key.
-    expect("unattributed", report.unattributed_self_us, 160.0)
+    # Only a/b/c (100 total) carry no key.
+    expect("unattributed", report.unattributed_self_us, 100.0)
     expect("k1.kind", key_kind(k1), "fleet")
     expect("k1.label", key_label(k1).startswith("fleet:"), True)
 
