@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/obs/obs.hpp"
 #include "numeric/bits.hpp"
 #include "patterns/bitops.hpp"
 #include "patterns/distributions.hpp"
@@ -101,35 +102,55 @@ ExperimentInputs<T> build_inputs(const PatternSpec& spec,
   PatternSpec local = spec;
   local.mean = saved_mean * range_scale;
 
+  // One span per stage under inputs.build, so a trace attributes the
+  // whole input build.  With tracing off each costs one flag check.
+  const obs::Span build("inputs.build");
   const std::size_t count = n * n;
-  std::vector<float> a_vals = generate_values(
-      local, sigma, count, patterns::derive_seed(seed, kStreamA));
-  std::vector<float> b_vals = generate_values(
-      local, sigma, count, patterns::derive_seed(seed, kStreamB));
-
-  apply_placement(spec, a_vals, n);
-  apply_placement(spec, b_vals, n);
-
-  if (spec.sparsity > 0.0) {
-    patterns::sparsify(a_vals, spec.sparsity,
-                       patterns::derive_seed(seed, kStreamSparsityA));
-    patterns::sparsify(b_vals, spec.sparsity,
-                       patterns::derive_seed(seed, kStreamSparsityB));
+  std::vector<float> a_vals;
+  std::vector<float> b_vals;
+  {
+    const obs::Span stage("inputs.generate");
+    a_vals = generate_values(local, sigma, count,
+                             patterns::derive_seed(seed, kStreamA));
+    b_vals = generate_values(local, sigma, count,
+                             patterns::derive_seed(seed, kStreamB));
+  }
+  {
+    const obs::Span stage("inputs.place");
+    apply_placement(spec, a_vals, n);
+    apply_placement(spec, b_vals, n);
+  }
+  {
+    const obs::Span stage("inputs.sparsify");
+    if (spec.sparsity > 0.0) {
+      patterns::sparsify(a_vals, spec.sparsity,
+                         patterns::derive_seed(seed, kStreamSparsityA));
+      patterns::sparsify(b_vals, spec.sparsity,
+                         patterns::derive_seed(seed, kStreamSparsityB));
+    }
   }
 
   ExperimentInputs<T> inputs;
-  inputs.a = gemm::materialize<T>(a_vals, n, n);
-  inputs.b = gemm::materialize<T>(b_vals, n, n);
-
-  apply_bitop(spec, inputs.a, patterns::derive_seed(seed, kStreamBitsA));
-  apply_bitop(spec, inputs.b, patterns::derive_seed(seed, kStreamBitsB));
-
-  const auto a_bits = gemm::raw_bits(inputs.a);
-  const auto b_bits = gemm::raw_bits(inputs.b);
-  const int width = gpupower::numeric::bit_width(dtype);
-  inputs.alignment = gpupower::numeric::average_alignment(a_bits, b_bits, width);
-  inputs.weight_fraction =
-      gpupower::numeric::average_weight_fraction(a_bits, width);
+  {
+    const obs::Span stage("inputs.materialize");
+    inputs.a = gemm::materialize<T>(a_vals, n, n);
+    inputs.b = gemm::materialize<T>(b_vals, n, n);
+  }
+  {
+    const obs::Span stage("inputs.bitop");
+    apply_bitop(spec, inputs.a, patterns::derive_seed(seed, kStreamBitsA));
+    apply_bitop(spec, inputs.b, patterns::derive_seed(seed, kStreamBitsB));
+  }
+  {
+    const obs::Span stage("inputs.features");
+    const auto a_bits = gemm::raw_bits(inputs.a);
+    const auto b_bits = gemm::raw_bits(inputs.b);
+    const int width = gpupower::numeric::bit_width(dtype);
+    inputs.alignment =
+        gpupower::numeric::average_alignment(a_bits, b_bits, width);
+    inputs.weight_fraction =
+        gpupower::numeric::average_weight_fraction(a_bits, width);
+  }
   return inputs;
 }
 

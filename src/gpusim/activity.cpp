@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/obs/obs.hpp"
+#include "numeric/isa.hpp"
 #include "patterns/rng.hpp"
 
 namespace gpupower::gpusim {
@@ -72,527 +73,17 @@ class ObserverWalker {
   ActivityCounters counters_;
 };
 
-/// Batched bit-plane walker: gathers each tile's A-row / B-column operand
-/// words into contiguous per-stream buffers once per K-range (all the
-/// range's K-slices share one gather/derive pass), then counts toggles
-/// (XOR with the one-word-shifted stream), Hamming weights, multiplier
-/// partial-product activity, and accumulator switching with bulk
-/// std::popcount loops over sub-ranges of the packed streams.
-///
-/// Bit-identicality with the observer walk rests on two facts: every
-/// counter is an order-independent sum, and every per-stream chain (the
-/// last word on each bus, the multiplier's previously held significands)
-/// threads through the packed segments in exactly the order the observer
-/// would have visited them.  The accumulator chain re-runs the identical
-/// arithmetic (same operations, same order), so acc bit patterns match too.
-template <typename T>
-class BitPlaneKernel {
-  using traits = gpupower::numeric::scalar_traits<T>;
-  using Acc = gpupower::numeric::accumulator_t<T>;
-  static constexpr int kWidth = traits::kBits;
-  static constexpr bool kHasExponent = kWidth != 8;
+namespace portable {
+#include "gpusim/bitplane_kernel.inc"
+}  // namespace portable
 
- public:
-  BitPlaneKernel(const gemm::GemmProblem& problem, const gemm::Matrix<T>& a,
-                 const gemm::Matrix<T>& b_storage,
-                 const gemm::TileConfig& config)
-      : problem_(problem),
-        a_(a),
-        b_(b_storage),
-        config_(config),
-        ws_(workspace()) {}
-
-  /// Panels are packed once per K-range (not once per K-slice): one gather
-  /// and one derive pass cover every slice of the range, and the per-slice
-  /// counting loops index sub-ranges of the shared buffers.  Ranges are
-  /// capped at kMaxChunkSlices threadblock slices so panel memory stays
-  /// bounded for huge K; port state threads across chunks like it threads
-  /// across tiles, so chunking never changes the counted stream.
-  void process_tile(const gemm::TileCoord& tile, std::vector<Acc>& acc,
-                    std::size_t k_begin, std::size_t k_end) {
-    const std::size_t k_total = std::min(k_end, problem_.k);
-    const std::size_t k_step = config_.threadblock.k;
-    const std::size_t chunk = k_step * kMaxChunkSlices;
-    for (std::size_t c0 = k_begin; c0 < k_total; c0 += chunk) {
-      const std::size_t c1 = std::min(c0 + chunk, k_total);
-      pack_range(tile, c0, c1);
-      for (const SliceInfo& slice : slices_) {
-        process_slice(tile, acc, c1 - c0, slice);
-      }
-    }
-  }
-
-  [[nodiscard]] const ActivityTotals& totals() const noexcept {
-    return totals_;
-  }
-
- private:
-  /// Upper bound on threadblock K-slices packed per gather, bounding panel
-  /// memory at lanes x (kMaxChunkSlices x threadblock.k) entries.
-  static constexpr std::size_t kMaxChunkSlices = 64;
-
-  /// One threadblock K-slice of the packed range: element sub-range
-  /// [t0, t1) and the global indices of its operand segments.
-  struct SliceInfo {
-    std::size_t t0 = 0;
-    std::size_t t1 = 0;
-    std::size_t seg_begin = 0;
-    std::size_t seg_end = 0;
-  };
-
-  static std::uint32_t exponent_popcount(std::uint32_t bits) noexcept {
-    if constexpr (kWidth == 16) {
-      return static_cast<std::uint32_t>(std::popcount((bits >> 10) & 0x1Fu));
-    } else if constexpr (kWidth == 32) {
-      return static_cast<std::uint32_t>(std::popcount((bits >> 23) & 0xFFu));
-    } else {
-      return 0;
-    }
-  }
-
-  /// Packed toggle/weight counting over one lane-contiguous word stream:
-  /// XOR-with-previous toggles and Hamming weight of w[t0, t1) chained off
-  /// `prev`, multiple words per 64-bit popcount.  INT8 words (8 significant
-  /// bits) pack four per lane in 16-bit slots; FP16/FP32 words pack two in
-  /// 32-bit slots.  XOR and popcount are bitwise, so disjoint slots never
-  /// interact and the packed sums equal the word-at-a-time sums exactly —
-  /// the parity tests pin this against the observer walk.
-  static void count_stream(const std::uint32_t* w, std::size_t t0,
-                           std::size_t t1, std::uint32_t& prev,
-                           std::uint64_t& toggles,
-                           std::uint64_t& weight) noexcept {
-    std::uint64_t tog = 0;
-    std::uint64_t wt = 0;
-    std::uint32_t p = prev;
-    std::size_t t = t0;
-    if constexpr (kWidth == 8) {
-      for (; t + 4 <= t1; t += 4) {
-        const std::uint64_t pack =
-            static_cast<std::uint64_t>(w[t]) |
-            (static_cast<std::uint64_t>(w[t + 1]) << 16) |
-            (static_cast<std::uint64_t>(w[t + 2]) << 32) |
-            (static_cast<std::uint64_t>(w[t + 3]) << 48);
-        const std::uint64_t shifted =
-            static_cast<std::uint64_t>(p) |
-            (static_cast<std::uint64_t>(w[t]) << 16) |
-            (static_cast<std::uint64_t>(w[t + 1]) << 32) |
-            (static_cast<std::uint64_t>(w[t + 2]) << 48);
-        tog += static_cast<std::uint64_t>(std::popcount(pack ^ shifted));
-        wt += static_cast<std::uint64_t>(std::popcount(pack));
-        p = w[t + 3];
-      }
-    } else {
-      for (; t + 2 <= t1; t += 2) {
-        const std::uint64_t pack =
-            static_cast<std::uint64_t>(w[t]) |
-            (static_cast<std::uint64_t>(w[t + 1]) << 32);
-        const std::uint64_t shifted =
-            static_cast<std::uint64_t>(p) |
-            (static_cast<std::uint64_t>(w[t]) << 32);
-        tog += static_cast<std::uint64_t>(std::popcount(pack ^ shifted));
-        wt += static_cast<std::uint64_t>(std::popcount(pack));
-        p = w[t + 1];
-      }
-    }
-    for (; t < t1; ++t) {
-      tog += static_cast<std::uint64_t>(std::popcount(p ^ w[t]));
-      wt += static_cast<std::uint64_t>(std::popcount(w[t]));
-      p = w[t];
-    }
-    prev = p;
-    toggles += tog;
-    weight += wt;
-  }
-
-  /// Extracts one operand panel (element bits, accumulator-domain values,
-  /// significands + popcounts, exponent popcounts) into packed lane-major
-  /// buffers: lane * ks + t, where a lane is an A row or a B column of the
-  /// tile and t indexes the K-slice.
-  struct Panel {
-    std::vector<std::uint32_t> bits;
-    std::vector<Acc> vals;
-    std::vector<std::uint32_t> sig;
-    std::vector<std::uint8_t> sig_pop;
-    std::vector<std::uint8_t> sig_hd;    ///< HD(sig[t], sig[t-1]) within the lane
-    std::vector<std::uint8_t> exp_pop;   ///< popcount of the exponent field
-    std::vector<std::uint8_t> nonzero;   ///< significand != 0 (zero gating)
-    std::vector<std::uint64_t> seg_tog;  ///< per (lane, segment) internal toggles
-    std::vector<std::uint64_t> seg_wt;   ///< per (lane, segment) Hamming weight
-
-    void resize(std::size_t lanes, std::size_t ks, std::size_t nseg,
-                bool exponent) {
-      bits.resize(lanes * ks);
-      vals.resize(lanes * ks);
-      sig.resize(lanes * ks);
-      sig_pop.resize(lanes * ks);
-      sig_hd.resize(lanes * ks);
-      if (exponent) {
-        exp_pop.resize(lanes * ks);
-        nonzero.resize(lanes * ks);
-      }
-      seg_tog.resize(lanes * nseg);
-      seg_wt.resize(lanes * nseg);
-    }
-  };
-
-  void derive_lane(Panel& panel, std::size_t lane, std::size_t ks,
-                   std::span<const std::pair<std::size_t, std::size_t>> segs) {
-    const std::size_t base = lane * ks;
-    for (std::size_t t = 0; t < ks; ++t) {
-      const std::uint32_t w = panel.bits[base + t];
-      const std::uint32_t sig = significand(w, kWidth);
-      panel.sig[base + t] = sig;
-      panel.sig_pop[base + t] =
-          static_cast<std::uint8_t>(std::popcount(sig));
-      // Interior of the lane's multiplier chain: every MAC pairing streams
-      // the lane k-contiguously, so HD(sig[t], sig[t-1]) is pairing-
-      // independent for t >= 1 — only the chain's first element toggles
-      // against carried state.
-      panel.sig_hd[base + t] =
-          t == 0 ? 0
-                 : static_cast<std::uint8_t>(
-                       std::popcount(sig ^ panel.sig[base + t - 1]));
-      if constexpr (kHasExponent) {
-        panel.exp_pop[base + t] =
-            static_cast<std::uint8_t>(exponent_popcount(w));
-        panel.nonzero[base + t] = sig != 0 ? 1 : 0;
-      }
-    }
-    for (std::size_t s = 0; s < segs.size(); ++s) {
-      const auto [t0, t1] = segs[s];
-      // The segment's first word contributes only weight (its toggle is
-      // the per-pairing boundary against the carried bus state); the
-      // interior is the packed XOR stream.
-      std::uint64_t tog = 0, wt = 0;
-      std::uint32_t prev = panel.bits[base + t0];
-      wt += static_cast<std::uint64_t>(std::popcount(prev));
-      count_stream(panel.bits.data() + base, t0 + 1, t1, prev, tog, wt);
-      panel.seg_tog[lane * segs.size() + s] = tog;
-      panel.seg_wt[lane * segs.size() + s] = wt;
-    }
-  }
-
-  void pack_range(const gemm::TileCoord& tile, std::size_t k0,
-                  std::size_t k1) {
-    const std::size_t rows = tile.rows;
-    const std::size_t cols = tile.cols;
-    const std::size_t ks = k1 - k0;
-    const std::size_t k_step = config_.threadblock.k;
-
-    // Slice table + operand segments over the whole range: the whole slice
-    // for SIMT threads, one per MMA fragment K-depth for tensor cores.
-    slices_.clear();
-    segs_.clear();
-    for (std::size_t s0 = 0; s0 < ks; s0 += k_step) {
-      SliceInfo slice;
-      slice.t0 = s0;
-      slice.t1 = std::min(s0 + k_step, ks);
-      slice.seg_begin = segs_.size();
-      if (config_.tensor_core) {
-        for (std::size_t t0 = slice.t0; t0 < slice.t1; t0 += config_.mma.k) {
-          segs_.emplace_back(t0, std::min(t0 + config_.mma.k, slice.t1));
-        }
-      } else {
-        segs_.emplace_back(slice.t0, slice.t1);
-      }
-      slice.seg_end = segs_.size();
-      slices_.push_back(slice);
-    }
-
-    a_panel_.resize(rows, ks, segs_.size(), kHasExponent);
-    b_panel_.resize(cols, ks, segs_.size(), kHasExponent);
-
-    for (std::size_t i = 0; i < rows; ++i) {
-      const T* src = a_.data() + (tile.row + i) * a_.cols() + k0;
-      for (std::size_t t = 0; t < ks; ++t) {
-        a_panel_.bits[i * ks + t] =
-            static_cast<std::uint32_t>(traits::to_bits(src[t]));
-        a_panel_.vals[i * ks + t] = static_cast<Acc>(traits::to_float(src[t]));
-      }
-      derive_lane(a_panel_, i, ks, segs_);
-    }
-    for (std::size_t j = 0; j < cols; ++j) {
-      if (problem_.transpose_b) {
-        const T* src = b_.data() + (tile.col + j) * b_.cols() + k0;
-        for (std::size_t t = 0; t < ks; ++t) {
-          b_panel_.bits[j * ks + t] =
-              static_cast<std::uint32_t>(traits::to_bits(src[t]));
-          b_panel_.vals[j * ks + t] =
-              static_cast<Acc>(traits::to_float(src[t]));
-        }
-      } else {
-        const T* src = b_.data() + k0 * b_.cols() + tile.col + j;
-        const std::size_t stride = b_.cols();
-        for (std::size_t t = 0; t < ks; ++t) {
-          const T v = src[t * stride];
-          b_panel_.bits[j * ks + t] =
-              static_cast<std::uint32_t>(traits::to_bits(v));
-          b_panel_.vals[j * ks + t] = static_cast<Acc>(traits::to_float(v));
-        }
-      }
-      derive_lane(b_panel_, j, ks, segs_);
-    }
-  }
-
-  /// Bulk fetch-bus count: a lane-by-lane pass over one slice's sub-range
-  /// of the packed panel, which is exactly the stream order the memory
-  /// hierarchy drives (A rows row-major, then the B slice in storage
-  /// order).
-  void count_fetch(const Panel& panel, std::size_t lanes, std::size_t ks,
-                   std::size_t t0, std::size_t t1, std::uint32_t& last) {
-    std::uint64_t tog = 0, wt = 0;
-    std::uint32_t prev = last;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      count_stream(panel.bits.data() + lane * ks, t0, t1, prev, tog, wt);
-    }
-    totals_.fetch_toggles += tog;
-    totals_.fetch_weight += wt;
-    totals_.fetch_words += lanes * (t1 - t0);
-    last = prev;
-  }
-
-  void process_slice(const gemm::TileCoord& tile, std::vector<Acc>& acc,
-                     std::size_t ks, const SliceInfo& slice) {
-    const std::size_t rows = tile.rows;
-    const std::size_t cols = tile.cols;
-
-    count_fetch(a_panel_, rows, ks, slice.t0, slice.t1, port_.last_fetch_a);
-    count_fetch(b_panel_, cols, ks, slice.t0, slice.t1, port_.last_fetch_b);
-
-    if (!config_.tensor_core) {
-      simt_slice(rows, cols, ks, slice, acc);
-    } else {
-      tensor_core_slice(rows, cols, ks, slice, acc);
-    }
-  }
-
-  /// One MAC chain over [t0, t1) of lane row i x lane column j: multiplier
-  /// switching + exponent activity against the carried significands, plus
-  /// the accumulator arithmetic.  Returns the chain's accumulator result.
-  struct MacSums {
-    std::uint64_t pp = 0;
-    std::uint64_t exp = 0;
-    std::uint64_t acc_tog = 0;
-  };
-
-  Acc mac_chain(std::size_t i, std::size_t j, std::size_t ks, std::size_t t0,
-                std::size_t t1, Acc start, bool single_acc_write,
-                MacSums& sums) {
-    const std::uint32_t* sa = a_panel_.sig.data() + i * ks;
-    const std::uint32_t* sb = b_panel_.sig.data() + j * ks;
-    const std::uint8_t* pa = a_panel_.sig_pop.data() + i * ks;
-    const std::uint8_t* pb = b_panel_.sig_pop.data() + j * ks;
-    const Acc* fa = a_panel_.vals.data() + i * ks;
-    const Acc* fb = b_panel_.vals.data() + j * ks;
-    const std::uint8_t* ea = nullptr;
-    const std::uint8_t* eb = nullptr;
-    const std::uint8_t* za = nullptr;
-    const std::uint8_t* zb = nullptr;
-    if constexpr (kHasExponent) {
-      ea = a_panel_.exp_pop.data() + i * ks;
-      eb = b_panel_.exp_pop.data() + j * ks;
-      za = a_panel_.nonzero.data() + i * ks;
-      zb = b_panel_.nonzero.data() + j * ks;
-    }
-
-    const std::uint8_t* ha = a_panel_.sig_hd.data() + i * ks;
-    const std::uint8_t* hb = b_panel_.sig_hd.data() + j * ks;
-
-    // Multiplier chain: the first MAC toggles against the carried
-    // significands; the interior is a dot product of the lanes'
-    // precomputed HD and popcount planes (vectorizable, no dependency).
-    std::uint32_t pp32 =
-        static_cast<std::uint32_t>(std::popcount(sa[t0] ^ port_.prev_sig_a)) *
-            static_cast<std::uint32_t>(pb[t0]) +
-        static_cast<std::uint32_t>(std::popcount(sb[t0] ^ port_.prev_sig_b)) *
-            static_cast<std::uint32_t>(pa[t0]);
-    for (std::size_t t = t0 + 1; t < t1; ++t) {
-      pp32 += static_cast<std::uint32_t>(ha[t]) *
-                  static_cast<std::uint32_t>(pb[t]) +
-              static_cast<std::uint32_t>(hb[t]) *
-                  static_cast<std::uint32_t>(pa[t]);
-    }
-    port_.prev_sig_a = sa[t1 - 1];
-    port_.prev_sig_b = sb[t1 - 1];
-    sums.pp += pp32;
-
-    if constexpr (kHasExponent) {
-      // A zero operand gates both exponent adders; a value's own exponent
-      // popcount is already zero when the value is zero, so gating only
-      // needs the other operand's nonzero flag.
-      std::uint32_t exp32 = 0;
-      for (std::size_t t = t0; t < t1; ++t) {
-        exp32 += static_cast<std::uint32_t>(zb[t]) *
-                     static_cast<std::uint32_t>(ea[t]) +
-                 static_cast<std::uint32_t>(za[t]) *
-                     static_cast<std::uint32_t>(eb[t]);
-      }
-      sums.exp += exp32;
-    }
-
-    // Accumulator chain: the carried dependency is the arithmetic itself,
-    // re-run exactly as the compute path would.
-    std::uint64_t acc_tog = 0;
-    Acc sum = start;
-    if (single_acc_write) {
-      for (std::size_t t = t0; t < t1; ++t) sum += fa[t] * fb[t];
-    } else {
-      for (std::size_t t = t0; t < t1; ++t) {
-        const Acc next = sum + fa[t] * fb[t];
-        acc_tog += static_cast<std::uint64_t>(std::popcount(
-            gemm::detail::acc_bits(sum) ^ gemm::detail::acc_bits(next)));
-        sum = next;
-      }
-      sums.acc_tog += acc_tog;
-    }
-    return sum;
-  }
-
-  void simt_slice(std::size_t rows, std::size_t cols, std::size_t ks,
-                  const SliceInfo& slice, std::vector<Acc>& acc) {
-    // Per-thread streams: each (i, j) output streams row i of A and column
-    // j of B k-contiguously.  The interior of every operand chain is the
-    // lane's packed segment — identical for every pairing — so only the
-    // boundary toggle against the bus's previous word is per-pair work.
-    const std::size_t t0 = slice.t0;
-    const std::size_t t1 = slice.t1;
-    const std::size_t st = t1 - t0;
-    const std::size_t nseg = segs_.size();
-    const std::size_t seg = slice.seg_begin;  // SIMT: one segment per slice
-    std::uint64_t op_tog = 0, op_wt = 0;
-    std::uint32_t last_a = port_.last_operand_a;
-    std::uint32_t last_b = port_.last_operand_b;
-    MacSums sums;
-    for (std::size_t i = 0; i < rows; ++i) {
-      const std::uint32_t a_first = a_panel_.bits[i * ks + t0];
-      const std::uint32_t a_last = a_panel_.bits[i * ks + t1 - 1];
-      const std::uint64_t a_tog = a_panel_.seg_tog[i * nseg + seg];
-      const std::uint64_t a_wt = a_panel_.seg_wt[i * nseg + seg];
-      for (std::size_t j = 0; j < cols; ++j) {
-        op_tog += static_cast<std::uint64_t>(std::popcount(last_a ^ a_first)) +
-                  a_tog;
-        op_wt += a_wt;
-        last_a = a_last;
-        op_tog += static_cast<std::uint64_t>(
-                      std::popcount(last_b ^ b_panel_.bits[j * ks + t0])) +
-                  b_panel_.seg_tog[j * nseg + seg];
-        op_wt += b_panel_.seg_wt[j * nseg + seg];
-        last_b = b_panel_.bits[j * ks + t1 - 1];
-
-        acc[i * cols + j] =
-            mac_chain(i, j, ks, t0, t1, acc[i * cols + j], false, sums);
-      }
-    }
-    port_.last_operand_a = last_a;
-    port_.last_operand_b = last_b;
-    const std::uint64_t mac_count = rows * cols * st;
-    totals_.operand_words += 2 * mac_count;
-    totals_.operand_toggles += op_tog;
-    totals_.operand_weight += op_wt;
-    totals_.mult_pp += sums.pp;
-    totals_.exponent_bits += sums.exp;
-    totals_.macs += mac_count;
-    totals_.acc_updates += mac_count;
-    totals_.acc_toggles += sums.acc_tog;
-  }
-
-  void tensor_core_slice(std::size_t rows, std::size_t cols, std::size_t ks,
-                         const SliceInfo& slice, std::vector<Acc>& acc) {
-    const std::size_t fm = config_.mma.m;
-    const std::size_t fn = config_.mma.n;
-    const std::size_t nseg = segs_.size();
-    std::uint64_t op_tog = 0, op_wt = 0, op_words = 0;
-    std::uint64_t acc_tog = 0, acc_ups = 0, mac_count = 0;
-    std::uint32_t last_a = port_.last_operand_a;
-    std::uint32_t last_b = port_.last_operand_b;
-    MacSums sums;
-    for (std::size_t s = slice.seg_begin; s < slice.seg_end; ++s) {
-      const auto [t0, t1] = segs_[s];
-      const std::size_t st = t1 - t0;
-      for (std::size_t i0 = 0; i0 < rows; i0 += fm) {
-        const std::size_t iend = std::min(i0 + fm, rows);
-        for (std::size_t j0 = 0; j0 < cols; j0 += fn) {
-          const std::size_t jend = std::min(j0 + fn, cols);
-          // Fragment operand issue: the A rows then the B columns of the
-          // fragment, each a packed segment with a boundary toggle.
-          for (std::size_t i = i0; i < iend; ++i) {
-            op_tog += static_cast<std::uint64_t>(
-                          std::popcount(last_a ^ a_panel_.bits[i * ks + t0])) +
-                      a_panel_.seg_tog[i * nseg + s];
-            op_wt += a_panel_.seg_wt[i * nseg + s];
-            last_a = a_panel_.bits[i * ks + t1 - 1];
-          }
-          op_words += (iend - i0) * st;
-          for (std::size_t j = j0; j < jend; ++j) {
-            op_tog += static_cast<std::uint64_t>(
-                          std::popcount(last_b ^ b_panel_.bits[j * ks + t0])) +
-                      b_panel_.seg_tog[j * nseg + s];
-            op_wt += b_panel_.seg_wt[j * nseg + s];
-            last_b = b_panel_.bits[j * ks + t1 - 1];
-          }
-          op_words += (jend - j0) * st;
-          // Dot-product array + single accumulator write per output.
-          for (std::size_t i = i0; i < iend; ++i) {
-            for (std::size_t j = j0; j < jend; ++j) {
-              const Acc dot = mac_chain(i, j, ks, t0, t1, Acc{}, true, sums);
-              Acc& slot = acc[i * cols + j];
-              const Acc next = slot + dot;
-              acc_tog += static_cast<std::uint64_t>(std::popcount(
-                  gemm::detail::acc_bits(slot) ^ gemm::detail::acc_bits(next)));
-              slot = next;
-              ++acc_ups;
-              mac_count += st;
-            }
-          }
-        }
-      }
-    }
-    port_.last_operand_a = last_a;
-    port_.last_operand_b = last_b;
-    totals_.operand_words += op_words;
-    totals_.operand_toggles += op_tog;
-    totals_.operand_weight += op_wt;
-    totals_.mult_pp += sums.pp;
-    totals_.exponent_bits += sums.exp;
-    totals_.macs += mac_count;
-    totals_.acc_updates += acc_ups;
-    totals_.acc_toggles += acc_tog;
-  }
-
-  /// Panel buffers and slice/segment tables, shared across every kernel
-  /// instance a worker thread constructs.  Seed replicas of one experiment
-  /// share their A/B shapes, so after the first replica every resize() is
-  /// a no-op and the multi-megabyte panels stop churning the allocator —
-  /// the "reuse packed panels across seed replicas" item from the PR 3
-  /// note.  Safe because a kernel walks tiles strictly serially within one
-  /// estimate_activity call and every pack_range rewrites the full index
-  /// range it later reads (parity-pinned); distinct threads get distinct
-  /// workspaces.
-  struct Workspace {
-    Panel a_panel;
-    Panel b_panel;
-    std::vector<SliceInfo> slices;
-    std::vector<std::pair<std::size_t, std::size_t>> segs;
-  };
-
-  static Workspace& workspace() {
-    thread_local Workspace ws;
-    return ws;
-  }
-
-  const gemm::GemmProblem& problem_;
-  const gemm::Matrix<T>& a_;
-  const gemm::Matrix<T>& b_;
-  const gemm::TileConfig& config_;
-  Workspace& ws_;
-
-  ActivityTotals totals_;
-  PortState port_;
-  Panel& a_panel_ = ws_.a_panel;
-  Panel& b_panel_ = ws_.b_panel;
-  std::vector<SliceInfo>& slices_ = ws_.slices;
-  std::vector<std::pair<std::size_t, std::size_t>>& segs_ = ws_.segs;
-};
+#if GPUPOWER_POPCNT_VARIANT
+GPUPOWER_POPCNT_BEGIN
+namespace popcnt {
+#include "gpusim/bitplane_kernel.inc"
+}  // namespace popcnt
+GPUPOWER_POPCNT_END
+#endif
 
 template <typename T, typename Walker>
 ActivityEstimate estimate_with(const gemm::GemmProblem& problem,
@@ -672,6 +163,34 @@ ActivityEstimate estimate_with(const gemm::GemmProblem& problem,
 
 }  // namespace
 
+namespace detail {
+
+template <typename T>
+ActivityEstimate estimate_batched_portable(const gemm::GemmProblem& problem,
+                                           const gemm::Matrix<T>& a,
+                                           const gemm::Matrix<T>& b_storage,
+                                           const gemm::TileConfig& config,
+                                           const SamplingPlan& plan) {
+  portable::BitPlaneKernel<T> walker(problem, a, b_storage, config);
+  return estimate_with<T>(problem, config, plan, walker);
+}
+
+template <typename T>
+ActivityEstimate estimate_batched_popcnt(const gemm::GemmProblem& problem,
+                                         const gemm::Matrix<T>& a,
+                                         const gemm::Matrix<T>& b_storage,
+                                         const gemm::TileConfig& config,
+                                         const SamplingPlan& plan) {
+#if GPUPOWER_POPCNT_VARIANT
+  popcnt::BitPlaneKernel<T> walker(problem, a, b_storage, config);
+  return estimate_with<T>(problem, config, plan, walker);
+#else
+  return estimate_batched_portable<T>(problem, a, b_storage, config, plan);
+#endif
+}
+
+}  // namespace detail
+
 template <typename T>
 ActivityEstimate estimate_activity(const gemm::GemmProblem& problem,
                                    const gemm::Matrix<T>& a,
@@ -686,9 +205,12 @@ ActivityEstimate estimate_activity(const gemm::GemmProblem& problem,
   if (backend == ActivityBackend::kObserver) {
     ObserverWalker<T> walker(problem, a, b_storage, config);
     est = estimate_with<T>(problem, config, plan, walker);
+  } else if (numeric::cpu_has_popcnt()) {
+    est = detail::estimate_batched_popcnt<T>(problem, a, b_storage, config,
+                                             plan);
   } else {
-    BitPlaneKernel<T> walker(problem, a, b_storage, config);
-    est = estimate_with<T>(problem, config, plan, walker);
+    est = detail::estimate_batched_portable<T>(problem, a, b_storage, config,
+                                               plan);
   }
   static core::obs::Counter& tiles_walked =
       core::obs::counter("activity.tiles_walked");
@@ -696,18 +218,22 @@ ActivityEstimate estimate_activity(const gemm::GemmProblem& problem,
   return est;
 }
 
-template ActivityEstimate estimate_activity<float>(
-    const gemm::GemmProblem&, const gemm::Matrix<float>&,
-    const gemm::Matrix<float>&, const gemm::TileConfig&, const SamplingPlan&,
-    ActivityBackend);
-template ActivityEstimate estimate_activity<gpupower::numeric::float16_t>(
-    const gemm::GemmProblem&, const gemm::Matrix<gpupower::numeric::float16_t>&,
-    const gemm::Matrix<gpupower::numeric::float16_t>&, const gemm::TileConfig&,
-    const SamplingPlan&, ActivityBackend);
-template ActivityEstimate estimate_activity<gpupower::numeric::int8_value_t>(
-    const gemm::GemmProblem&,
-    const gemm::Matrix<gpupower::numeric::int8_value_t>&,
-    const gemm::Matrix<gpupower::numeric::int8_value_t>&,
-    const gemm::TileConfig&, const SamplingPlan&, ActivityBackend);
+#define GPUPOWER_INSTANTIATE_ACTIVITY(T)                                      \
+  template ActivityEstimate estimate_activity<T>(                             \
+      const gemm::GemmProblem&, const gemm::Matrix<T>&,                       \
+      const gemm::Matrix<T>&, const gemm::TileConfig&, const SamplingPlan&,   \
+      ActivityBackend);                                                       \
+  template ActivityEstimate detail::estimate_batched_portable<T>(             \
+      const gemm::GemmProblem&, const gemm::Matrix<T>&,                       \
+      const gemm::Matrix<T>&, const gemm::TileConfig&, const SamplingPlan&);  \
+  template ActivityEstimate detail::estimate_batched_popcnt<T>(               \
+      const gemm::GemmProblem&, const gemm::Matrix<T>&,                       \
+      const gemm::Matrix<T>&, const gemm::TileConfig&, const SamplingPlan&);
+
+GPUPOWER_INSTANTIATE_ACTIVITY(float)
+GPUPOWER_INSTANTIATE_ACTIVITY(gpupower::numeric::float16_t)
+GPUPOWER_INSTANTIATE_ACTIVITY(gpupower::numeric::int8_value_t)
+
+#undef GPUPOWER_INSTANTIATE_ACTIVITY
 
 }  // namespace gpupower::gpusim

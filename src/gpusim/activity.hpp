@@ -9,10 +9,12 @@
 //    K-range (every K-slice of the tile reuses the same packed panels);
 //    toggle counts (XOR with the one-word-shifted stream), Hamming
 //    weights, multiplier partial-product activity, and accumulator switching
-//    are then computed with bulk std::popcount loops over the packed
-//    streams.  Per-stream port state threads through the packed segments in
-//    exactly the order the observer walk would have seen, so the totals
-//    match the reference walk bit for bit (pinned by the parity tests).
+//    are then computed with bulk popcount loops over the packed streams.
+//    Per-stream port state threads through the packed segments in exactly
+//    the order the observer walk would have seen, so the totals match the
+//    reference walk bit for bit (pinned by the parity tests).  The kernel
+//    is compiled twice, for the portable baseline and under the x86 popcnt
+//    target, and picked per CPU at run time (numeric/isa.hpp).
 //  - kObserver: the reference per-element walk — gemm::process_tile with an
 //    ActivityCounters observer, one callback per physical wire event.
 //
@@ -140,6 +142,26 @@ template <typename T>
     const gemm::Matrix<T>& b_storage, const gemm::TileConfig& config,
     const SamplingPlan& plan = SamplingPlan::exact(),
     ActivityBackend backend = ActivityBackend::kBatched);
+
+namespace detail {
+
+/// The kBatched walk as compiled for the portable baseline and under the
+/// popcnt target (off x86, the same portable walk).  estimate_activity
+/// picks one per CPU; the parity tests call both.  Call the popcnt
+/// variant only when numeric::cpu_has_popcnt().  Instantiated for float,
+/// float16_t and int8_value_t.
+template <typename T>
+[[nodiscard]] ActivityEstimate estimate_batched_portable(
+    const gemm::GemmProblem& problem, const gemm::Matrix<T>& a,
+    const gemm::Matrix<T>& b_storage, const gemm::TileConfig& config,
+    const SamplingPlan& plan);
+template <typename T>
+[[nodiscard]] ActivityEstimate estimate_batched_popcnt(
+    const gemm::GemmProblem& problem, const gemm::Matrix<T>& a,
+    const gemm::Matrix<T>& b_storage, const gemm::TileConfig& config,
+    const SamplingPlan& plan);
+
+}  // namespace detail
 
 extern template ActivityEstimate estimate_activity<float>(
     const gemm::GemmProblem&, const gemm::Matrix<float>&,

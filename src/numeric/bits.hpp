@@ -78,4 +78,23 @@ template <std::unsigned_integral W>
 [[nodiscard]] double average_weight_fraction(std::span<const std::uint32_t> words,
                                              int width) noexcept;
 
+namespace detail {
+
+/// The two feature scans compiled for the portable baseline and under the
+/// popcnt target (numeric/isa.hpp).  The public scans above pick one per
+/// CPU; the parity tests call both.  Call a *_popcnt variant only when
+/// cpu_has_popcnt().
+[[nodiscard]] double average_alignment_portable(
+    std::span<const std::uint32_t> a, std::span<const std::uint32_t> b,
+    int width) noexcept;
+[[nodiscard]] double average_alignment_popcnt(
+    std::span<const std::uint32_t> a, std::span<const std::uint32_t> b,
+    int width) noexcept;
+[[nodiscard]] double average_weight_fraction_portable(
+    std::span<const std::uint32_t> words, int width) noexcept;
+[[nodiscard]] double average_weight_fraction_popcnt(
+    std::span<const std::uint32_t> words, int width) noexcept;
+
+}  // namespace detail
+
 }  // namespace gpupower::numeric

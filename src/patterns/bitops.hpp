@@ -23,7 +23,16 @@ void flip_random_bits(std::span<T> data, int flips, std::uint64_t seed) {
   using W = typename traits::bits_type;
   constexpr int kWidth = traits::kBits;
   if (flips <= 0) return;
-  if (flips > kWidth) flips = kWidth;
+  if (flips >= kWidth) {
+    // A full Fisher-Yates pass flips every position exactly once, and the
+    // RNG is local to this call: the result is the complement, whatever
+    // the draws would have been.
+    const W all = gpupower::numeric::low_mask<W>(kWidth);
+    for (auto& elem : data) {
+      elem = traits::from_bits(static_cast<W>(traits::to_bits(elem) ^ all));
+    }
+    return;
+  }
   Xoshiro256 rng(seed);
   for (auto& elem : data) {
     W bits = traits::to_bits(elem);

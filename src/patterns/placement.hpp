@@ -5,6 +5,9 @@
 // remaining values keep their original relative order in the remaining
 // slots.  Column sorting applies the same rule along a column-major
 // traversal; intra-row sorting applies it to every row independently.
+// Ties, -0 against +0 included, keep their original order, as under a
+// stable sort.  A sorted traversal holds at most 2^32 elements (kMaxN^2);
+// a longer one throws std::length_error.
 #pragma once
 
 #include <cstddef>

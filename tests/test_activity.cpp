@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "numeric/isa.hpp"
 #include "patterns/distributions.hpp"
 
 namespace gpupower::gpusim {
@@ -180,24 +181,37 @@ void expect_identical_totals(const ActivityEstimate& batched,
   EXPECT_DOUBLE_EQ(batched.k_coverage, observer.k_coverage);
 }
 
+/// n = 150 leaves ragged edges at every level: threadblock tiles (128 +
+/// 22), K-slices, and MMA fragment K-segments.
+constexpr std::size_t kParityN = 150;
+
 template <typename T>
-void run_parity_case(DType dtype, bool transpose_b) {
-  // n = 150 leaves ragged edges at every level: threadblock tiles (128 +
-  // 22), K-slices, and MMA fragment K-segments.
-  const std::size_t n = 150;
-  auto values = patterns::gaussian_fill(n * n, 0.0, 210.0, 7);
+Matrix<T> parity_a() {
+  auto values = patterns::gaussian_fill(kParityN * kParityN, 0.0, 210.0, 7);
   // Sprinkle exact zeros so the multiplier/exponent zero gating is hit.
   for (std::size_t i = 0; i < values.size(); i += 13) values[i] = 0.0f;
-  const auto a = gemm::materialize<T>(values, n, n);
-  const auto b = gemm::materialize<T>(
-      patterns::gaussian_fill(n * n, 0.0, 210.0, 8), n, n);
-  GemmProblem problem = GemmProblem::square(n, transpose_b);
+  return gemm::materialize<T>(values, kParityN, kParityN);
+}
+
+template <typename T>
+Matrix<T> parity_b() {
+  return gemm::materialize<T>(
+      patterns::gaussian_fill(kParityN * kParityN, 0.0, 210.0, 8), kParityN,
+      kParityN);
+}
+
+const SamplingPlan kParityPlans[] = {
+    SamplingPlan::exact(), SamplingPlan::fast(16),
+    SamplingPlan{8, 0.5, 0x5EEDu}, SamplingPlan{12, 0.25, 0x5EEDu}};
+
+template <typename T>
+void run_parity_case(DType dtype, bool transpose_b) {
+  const auto a = parity_a<T>();
+  const auto b = parity_b<T>();
+  GemmProblem problem = GemmProblem::square(kParityN, transpose_b);
   const auto config = TileConfig::for_dtype(dtype);
 
-  const SamplingPlan plans[] = {SamplingPlan::exact(), SamplingPlan::fast(16),
-                                SamplingPlan{8, 0.5, 0x5EEDu},
-                                SamplingPlan{12, 0.25, 0x5EEDu}};
-  for (const SamplingPlan& plan : plans) {
+  for (const SamplingPlan& plan : kParityPlans) {
     const auto batched = estimate_activity(problem, a, b, config, plan,
                                            ActivityBackend::kBatched);
     const auto observer = estimate_activity(problem, a, b, config, plan,
@@ -224,6 +238,56 @@ TEST(BitPlaneParity, Fp16TensorCoreMatchesObserverBitwise) {
 TEST(BitPlaneParity, Int8TensorCoreMatchesObserverBitwise) {
   run_parity_case<gpupower::numeric::int8_value_t>(DType::kINT8, true);
   run_parity_case<gpupower::numeric::int8_value_t>(DType::kINT8, false);
+}
+
+// --- ISA dispatch parity -------------------------------------------------
+//
+// The batched kernel is compiled for the portable baseline and under the
+// popcnt target, and estimate_activity picks one per CPU.  Both compiled
+// variants must match the observer walk bit for bit, whichever one this
+// CPU would pick: the portable variant against the observer over the
+// sampled plans (every kernel path: both B layouts, SIMT and tensor-core
+// slices, ragged edges), the popcnt variant against the portable one over
+// every plan.
+
+template <typename T>
+void run_variant_case(DType dtype, bool popcnt_leg) {
+  const auto a = parity_a<T>();
+  const auto b = parity_b<T>();
+  const auto config = TileConfig::for_dtype(dtype);
+  for (const bool transpose_b : {true, false}) {
+    const GemmProblem problem = GemmProblem::square(kParityN, transpose_b);
+    for (const SamplingPlan& plan : kParityPlans) {
+      const bool exact = plan.max_tiles == 0;
+      if (!popcnt_leg && exact) continue;
+      const auto portable =
+          detail::estimate_batched_portable<T>(problem, a, b, config, plan);
+      const auto reference =
+          popcnt_leg
+              ? detail::estimate_batched_popcnt<T>(problem, a, b, config, plan)
+              : estimate_activity(problem, a, b, config, plan,
+                                  ActivityBackend::kObserver);
+      expect_identical_totals(portable, reference);
+    }
+  }
+}
+
+void run_variant_all_dtypes(bool popcnt_leg) {
+  run_variant_case<float>(DType::kFP32, popcnt_leg);
+  run_variant_case<float16_t>(DType::kFP16, popcnt_leg);
+  run_variant_case<float16_t>(DType::kFP16T, popcnt_leg);
+  run_variant_case<gpupower::numeric::int8_value_t>(DType::kINT8, popcnt_leg);
+}
+
+TEST(IsaDispatchParity, PortableBatchedMatchesObserver) {
+  run_variant_all_dtypes(false);
+}
+
+TEST(IsaDispatchParity, PopcntBatchedMatchesPortable) {
+  if (!gpupower::numeric::cpu_has_popcnt()) {
+    GTEST_SKIP() << "this CPU has no popcnt instruction";
+  }
+  run_variant_all_dtypes(true);
 }
 
 // --- port-state persistence ----------------------------------------------

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
+
+#include "numeric/isa.hpp"
 
 namespace gpupower::numeric {
 namespace {
@@ -93,6 +96,56 @@ TEST(Bits, StreamTogglesMatchesPairwiseSum) {
         hamming_distance(words[i - 1], words[i]));
   }
   EXPECT_EQ(stream_toggles(std::span<const std::uint32_t>(words)), expected);
+}
+
+// The two compiled feature-scan variants (portable and popcnt target) give
+// bit-identical results; the public scans pick one per CPU.
+std::vector<std::uint32_t> lcg_words(std::size_t count, std::uint32_t x) {
+  std::vector<std::uint32_t> words;
+  for (std::size_t i = 0; i < count; ++i) {
+    x = x * 1664525u + 1013904223u;
+    words.push_back(x);
+  }
+  return words;
+}
+
+template <typename Alignment, typename Weight>
+void expect_scans_match_elementwise(Alignment alignment, Weight weight) {
+  const auto a = lcg_words(1000, 0x12345678u);
+  const auto b = lcg_words(1000, 0x9E3779B9u);
+  for (const int width : {8, 16, 32}) {
+    double differing = 0.0;
+    double set = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      differing += 1.0 - bit_alignment(a[i], b[i], width);
+      set += hamming_weight(a[i], width);
+    }
+    const auto n = static_cast<double>(a.size());
+    const double got = alignment(a, b, width);
+    const double got_w = weight(a, width);
+    EXPECT_DOUBLE_EQ(got, 1.0 - differing / n) << width;
+    EXPECT_DOUBLE_EQ(got_w, set / n / width) << width;
+    // Bit-identical to the public (dispatched) scans.
+    const double pub = average_alignment(a, b, width);
+    const double pub_w = average_weight_fraction(a, width);
+    EXPECT_EQ(std::memcmp(&got, &pub, sizeof got), 0) << width;
+    EXPECT_EQ(std::memcmp(&got_w, &pub_w, sizeof got_w), 0) << width;
+  }
+  EXPECT_EQ(alignment({}, {}, 16), 0.0);
+  EXPECT_EQ(weight({}, 16), 0.0);
+}
+
+TEST(BitsDispatchParity, PortableScansMatch) {
+  expect_scans_match_elementwise(detail::average_alignment_portable,
+                                 detail::average_weight_fraction_portable);
+}
+
+TEST(BitsDispatchParity, PopcntScansMatch) {
+  if (!cpu_has_popcnt()) {
+    GTEST_SKIP() << "this CPU has no popcnt instruction";
+  }
+  expect_scans_match_elementwise(detail::average_alignment_popcnt,
+                                 detail::average_weight_fraction_popcnt);
 }
 
 }  // namespace

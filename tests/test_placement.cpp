@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <numeric>
+#include <set>
+#include <string>
 
 #include "patterns/distributions.hpp"
 
@@ -118,6 +122,127 @@ TEST(Placement, SortRowsByMeanOrdersRowMeans) {
     EXPECT_GE(mean, prev) << "row " << r;
     prev = mean;
   }
+}
+
+// --- parity with the stable-sort reference ---------------------------------
+//
+// The rank-pair placement must reproduce, byte for byte, the algorithm it
+// replaced: a stable sort of every traversal slot by value, the k smallest
+// written ascending to the first k slots and the rest in traversal order.
+
+void oracle_partial_sort(std::vector<float>& data,
+                         const std::vector<std::size_t>& traversal,
+                         double percent) {
+  const std::size_t n = traversal.size();
+  const auto k = static_cast<std::size_t>(
+      std::llround(std::clamp(percent, 0.0, 100.0) / 100.0 *
+                   static_cast<double>(n)));
+  if (k == 0) return;
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return data[traversal[a]] < data[traversal[b]];
+                   });
+  std::vector<float> lowest(k);
+  for (std::size_t i = 0; i < k; ++i) lowest[i] = data[traversal[order[i]]];
+  std::vector<bool> selected(n, false);
+  for (std::size_t i = 0; i < k; ++i) selected[order[i]] = true;
+  std::vector<float> rest;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!selected[i]) rest.push_back(data[traversal[i]]);
+  }
+  for (std::size_t i = 0; i < k; ++i) data[traversal[i]] = lowest[i];
+  for (std::size_t i = k; i < n; ++i) data[traversal[i]] = rest[i - k];
+}
+
+std::vector<std::size_t> row_major(std::size_t rows, std::size_t cols) {
+  std::vector<std::size_t> t(rows * cols);
+  std::iota(t.begin(), t.end(), std::size_t{0});
+  return t;
+}
+
+std::vector<std::size_t> column_major(std::size_t rows, std::size_t cols) {
+  std::vector<std::size_t> t;
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t r = 0; r < rows; ++r) t.push_back(r * cols + c);
+  }
+  return t;
+}
+
+void oracle_within_rows(std::vector<float>& data, std::size_t rows,
+                        std::size_t cols, double percent) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<float> row(
+        data.begin() + static_cast<std::ptrdiff_t>(r * cols),
+        data.begin() + static_cast<std::ptrdiff_t>((r + 1) * cols));
+    oracle_partial_sort(row, row_major(1, cols), percent);
+    std::copy(row.begin(), row.end(),
+              data.begin() + static_cast<std::ptrdiff_t>(r * cols));
+  }
+}
+
+bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Gaussian, heavy ties (a 3-value set), and signed zeros mixed with ties.
+std::vector<std::pair<std::string, std::vector<float>>> parity_inputs(
+    std::size_t count) {
+  std::vector<float> signed_zeros(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const float pick[] = {0.0f, -0.0f, 1.5f, -0.0f, -2.0f, 0.0f, 1.5f};
+    signed_zeros[i] = pick[(i * 5 + i / 3) % 7];
+  }
+  return {{"gaussian", gaussian_fill(count, 0.0, 210.0, 11)},
+          {"value_set", value_set_fill(count, 3, 0.0, 210.0, 12)},
+          {"signed_zeros", std::move(signed_zeros)}};
+}
+
+constexpr double kParityPercents[] = {0.0, 0.1, 20.0, 33.3, 50.0, 99.99,
+                                      100.0};
+
+void expect_parity(std::size_t rows, std::size_t cols) {
+  for (const auto& [kind, values] : parity_inputs(rows * cols)) {
+    for (const double pct : kParityPercents) {
+      const std::string where = kind + " " + std::to_string(rows) + "x" +
+                                std::to_string(cols) + " " +
+                                std::to_string(pct) + "%";
+      auto want = values;
+      auto got = values;
+      oracle_partial_sort(want, row_major(1, rows * cols), pct);
+      partial_sort_flat(got, pct);
+      EXPECT_TRUE(same_bytes(got, want)) << "flat " << where;
+
+      want = values;
+      got = values;
+      oracle_partial_sort(want, row_major(rows, cols), pct);
+      partial_sort_rows(got, rows, cols, pct);
+      EXPECT_TRUE(same_bytes(got, want)) << "rows " << where;
+
+      want = values;
+      got = values;
+      oracle_partial_sort(want, column_major(rows, cols), pct);
+      partial_sort_columns(got, rows, cols, pct);
+      EXPECT_TRUE(same_bytes(got, want)) << "columns " << where;
+
+      want = values;
+      got = values;
+      oracle_within_rows(want, rows, cols, pct);
+      partial_sort_within_rows(got, rows, cols, pct);
+      EXPECT_TRUE(same_bytes(got, want)) << "within_rows " << where;
+    }
+  }
+}
+
+TEST(PlacementParity, MatchesStableSortOracleSquare) {
+  for (const std::size_t n : {1u, 7u, 64u, 256u}) expect_parity(n, n);
+}
+
+TEST(PlacementParity, MatchesStableSortOracleNonSquare) {
+  expect_parity(5, 37);
+  expect_parity(48, 3);
 }
 
 class PlacementPercentSweep : public ::testing::TestWithParam<double> {};

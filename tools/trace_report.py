@@ -7,8 +7,12 @@
   by scenario       the same totals grouped by the scenario canonical key
                     each span carries in args.key (engine.submit /
                     queue.wait / replica.* / activity.memo / reduce.* /
-                    store.* spans are attributed; unattributed spans are
-                    reported as a remainder line).
+                    store.* spans are attributed).  A span without a key
+                    inherits the key of the span enclosing it on the same
+                    thread, so a replica's stages (inputs.build and its
+                    inputs.* sub-spans, activity.estimate) count under
+                    the replica's scenario.  Spans with no keyed ancestor
+                    are reported as a remainder line.
 
 Self time uses the exporter's guarantees (ts-sorted events, proper
 per-tid nesting — see tools/check_trace.py): a per-thread stack charges
@@ -105,9 +109,9 @@ def analyze(doc: object, path: str) -> Report | None:
         return None
 
     report = Report()
-    # Per-tid stack of open frames [end_us, name, key, self_us]; events
-    # arrive ts-sorted, so a new span either closes the innermost frames
-    # or nests inside the top one.
+    # Per-tid stack of open frames [end_us, name, key, self_us, dur_us];
+    # events arrive ts-sorted, so a new span either closes the innermost
+    # frames or nests inside the top one.
     stacks: dict[int, list[list]] = {}
 
     def close(frame: list) -> None:
@@ -143,6 +147,8 @@ def analyze(doc: object, path: str) -> Report | None:
             close(stack.pop())
         if stack:
             stack[-1][3] -= dur  # charge the direct parent
+            if key is None:
+                key = stack[-1][2]  # attribute under the enclosing span
         stack.append([end, name, key, dur, dur])
     for stack in stacks.values():
         while stack:
@@ -286,6 +292,15 @@ def selftest() -> int:
             span("replica.fleet", 0.0, 40.0, tid=2, key=k1, seed=0),
             span("queue.wait", 5.0, 60.0, tid=2, key=k1, seed=1),
             span("engine.submit", 80.0, 10.0, tid=2, key=k2, kind="static"),
+            # tid 3: a static replica of k2 whose memo miss builds inputs
+            # and walks activity; the unkeyed stage spans inherit k2.
+            span("replica.static", 300.0, 100.0, tid=3, key=k2, seed=0),
+            span("activity.memo", 305.0, 90.0, tid=3, key=k2, seed=0,
+                 outcome="miss"),
+            span("inputs.build", 310.0, 60.0, tid=3),
+            span("inputs.generate", 312.0, 20.0, tid=3),
+            span("inputs.place", 335.0, 30.0, tid=3),
+            span("activity.estimate", 372.0, 20.0, tid=3),
         ],
         "displayTimeUnit": "ms",
         "otherData": {"dropped": 0},
@@ -300,7 +315,7 @@ def selftest() -> int:
     if report is None:
         print("trace_report: selftest: synthetic trace rejected")
         return 1
-    expect("events", report.events, 9)
+    expect("events", report.events, 15)
     submit = report.by_name["engine.submit"]
     expect("submit.count", submit.count, 2)
     expect("submit.total", submit.total_us, 110.0)
@@ -314,8 +329,13 @@ def selftest() -> int:
     # 60.
     expect("k1.self", report.by_key[k1].self_us, 200.0)
     expect("k1.count", report.by_key[k1].count, 5)
-    expect("k2.self", report.by_key[k2].self_us, 10.0)
-    # Only a/b/c (100 total) carry no key.
+    # k2: submit 10 + replica 10 + memo 10 + inputs.build 10 + generate
+    # 20 + place 30 + activity.estimate 20.
+    expect("k2.self", report.by_key[k2].self_us, 110.0)
+    expect("k2.count", report.by_key[k2].count, 7)
+    expect("inputs.build.self", report.by_name["inputs.build"].self_us, 10.0)
+    expect("inputs.place.self", report.by_name["inputs.place"].self_us, 30.0)
+    # Only a/b/c (100 total) have no keyed ancestor.
     expect("unattributed", report.unattributed_self_us, 100.0)
     expect("k1.kind", key_kind(k1), "fleet")
     expect("k1.label", key_label(k1).startswith("fleet:"), True)
