@@ -25,7 +25,7 @@ namespace detail {
 /// block on.
 ///
 /// Synchronisation map (enforced by -Wthread-safety under clang):
-///  - `done`/`result`/`error` are guarded by `mutex`;
+///  - `done`/`result`/`error`/`ready_callbacks` are guarded by `mutex`;
 ///  - `config` and `cache_key` are written once before the job is
 ///    published to the cache and immutable afterwards — unguarded;
 ///  - `replicas` slots are written by exactly one worker each (disjoint
@@ -48,6 +48,10 @@ struct ScenarioJob {
   bool done GPUPOWER_GUARDED_BY(mutex) = false;
   ScenarioResult result GPUPOWER_GUARDED_BY(mutex);
   std::exception_ptr error GPUPOWER_GUARDED_BY(mutex);
+  /// ScenarioHandle::on_ready callbacks registered before `done`; the
+  /// finishing worker swaps them out and runs them after unlocking.
+  std::vector<std::function<void()>> ready_callbacks
+      GPUPOWER_GUARDED_BY(mutex);
 };
 
 struct EngineState {
@@ -160,11 +164,12 @@ void persist_finished_job(EngineState& state, const ScenarioJob& job)
   }
 }
 
-/// Reduces and publishes a finished job, then retires it from the
-/// outstanding count.  The registry reduce hook runs under the job lock
-/// exactly once and consumes the replica slots.
+/// Reduces and publishes a finished job, runs its on_ready callbacks,
+/// then retires it from the outstanding count.  The registry reduce hook
+/// runs under the job lock exactly once and consumes the replica slots.
 void finish_job(EngineState& state, const std::shared_ptr<ScenarioJob>& job) {
   const std::size_t kind_index = static_cast<std::size_t>(job->config.kind());
+  std::vector<std::function<void()>> callbacks;
   {
     MutexLock lock(job->mutex);
     if (!job->error) {
@@ -190,8 +195,13 @@ void finish_job(EngineState& state, const std::shared_ptr<ScenarioJob>& job) {
     job->replicas.clear();
     job->replicas.shrink_to_fit();
     job->done = true;
+    callbacks.swap(job->ready_callbacks);
   }
   job->cv.notify_all();
+  // Callbacks run outside the job lock: a serve session's streamer holds
+  // its session lock while it checks ready(), so calling back into the
+  // session under the job lock would invert that lock order.
+  for (const std::function<void()>& callback : callbacks) callback();
   // Persist before retiring from the outstanding count: wait_all()
   // returning must imply every result is durably in the store, so a warm
   // engine (or process) started right after it cannot race a write still
@@ -301,6 +311,18 @@ bool ScenarioHandle::ready() const {
   if (!job_) throw_invalid_handle("ready");
   MutexLock lock(job_->mutex);
   return job_->done;
+}
+
+void ScenarioHandle::on_ready(std::function<void()> callback) const {
+  if (!job_) throw_invalid_handle("on_ready");
+  {
+    MutexLock lock(job_->mutex);
+    if (!job_->done) {
+      job_->ready_callbacks.push_back(std::move(callback));
+      return;
+    }
+  }
+  callback();
 }
 
 const ScenarioConfig& ScenarioHandle::config() const {

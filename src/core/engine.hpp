@@ -40,6 +40,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -144,6 +145,13 @@ class ScenarioHandle {
   [[nodiscard]] const ScenarioResult& get() const;
   /// True once the result is available (non-blocking).
   [[nodiscard]] bool ready() const;
+  /// Runs `callback` exactly once when the job is done (failed jobs
+  /// included): immediately on the calling thread when it already is
+  /// (cache and store hits), otherwise on the worker that finishes it,
+  /// after get() waiters are woken and before the store write-back.  The
+  /// callback runs with no engine lock held; it must not throw, and it
+  /// should only signal (it delays the worker's next task).
+  void on_ready(std::function<void()> callback) const;
   /// The config this handle was submitted with.
   [[nodiscard]] const ScenarioConfig& config() const;
   /// Scenario kind (throws std::logic_error on an invalid handle).

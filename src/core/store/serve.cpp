@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -16,7 +15,9 @@
 #include <memory>
 #include <ostream>
 #include <streambuf>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/json.hpp"
@@ -100,34 +101,63 @@ struct SessionRegistration {
   ~SessionRegistration() { unregister_session(metrics); }
 };
 
+/// Longest request line the reader buffers.  A longer line is discarded
+/// up to its newline and answered with one error event, so a hostile or
+/// broken client cannot grow the reader's buffer without bound.  The
+/// largest committed spec is under 6 KB.
+constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
 /// One submitted scenario awaiting emission.
 struct PendingPoint {
   long req = 0;
   std::string label;
   ScenarioConfig config;
   ScenarioHandle handle;
-  bool emitted = false;
 };
 
 /// Per-request progress, for the trailing done event.
 struct RequestProgress {
-  long req = 0;
   std::size_t points = 0;
   std::size_t emitted = 0;
-  bool done_sent = false;
 };
 
-/// Shared between a session's reader thread and its event streamer; every
-/// field below the mutex is written by both sides.
+/// Shared between a session's reader thread, its DAG workers, its event
+/// streamer and the engine workers that complete its points.  Completion
+/// callbacks hold a shared_ptr to it, so one that fires after the
+/// session returned (a client that vanished mid-request) still touches
+/// live memory.
 struct SessionState {
   Mutex mutex;
-  /// Pre-formatted lines from the reader.
+  /// The streamer sleeps on `wake` until `woken`: set by every pushed
+  /// event, by every point completion, and by the reader's EOF.
+  CondVar wake;
+  bool woken GPUPOWER_GUARDED_BY(mutex) = false;
+  /// Pre-formatted lines from the reader, the commands and DAG workers.
   std::deque<std::string> events GPUPOWER_GUARDED_BY(mutex);
+  /// Points not yet emitted, in submission order.
   std::vector<PendingPoint> pending GPUPOWER_GUARDED_BY(mutex);
-  std::vector<RequestProgress> requests GPUPOWER_GUARDED_BY(mutex);
+  /// Requests whose done event is not yet sent, by request number.
+  std::unordered_map<long, RequestProgress> requests
+      GPUPOWER_GUARDED_BY(mutex);
   bool reader_done GPUPOWER_GUARDED_BY(mutex) = false;
   long request_count GPUPOWER_GUARDED_BY(mutex) = 0;
 };
+
+/// Wakes the streamer.  Only the false -> true edge notifies: while
+/// `woken` is already set the streamer is not waiting and will make
+/// another pass anyway.
+void wake_streamer(SessionState& session) GPUPOWER_REQUIRES(session.mutex) {
+  if (session.woken) return;
+  session.woken = true;
+  session.wake.notify_one();
+}
+
+/// Queues one event line for the streamer and wakes it.
+void push_event(SessionState& session, std::string line) {
+  MutexLock lock(session.mutex);
+  session.events.push_back(std::move(line));
+  wake_streamer(session);
+}
 
 std::string error_event(long req, const std::string& message) {
   JsonValue doc = JsonValue::object();
@@ -302,10 +332,7 @@ void handle_dag_request(ExperimentEngine& engine, SessionState& session,
                         long req,
                         const std::shared_ptr<const dag::DagSpec>& spec,
                         std::vector<DagWorker>& workers) {
-  {
-    MutexLock lock(session.mutex);
-    session.events.push_back(dag_accepted_event(req, spec->nodes.size()));
-  }
+  push_event(session, dag_accepted_event(req, spec->nodes.size()));
   DagWorker worker;
   worker.finished = std::make_shared<std::atomic<bool>>(false);
   const auto finished = worker.finished;
@@ -319,8 +346,7 @@ void handle_dag_request(ExperimentEngine& engine, SessionState& session,
       }
       metrics.results.fetch_add(1, std::memory_order_relaxed);
       obs::counter("serve.results").add();
-      MutexLock lock(session.mutex);
-      session.events.push_back(dag_node_event(req, node, options));
+      push_event(session, dag_node_event(req, node, options));
     };
     dag::DagRun run;
     std::string error;
@@ -331,12 +357,10 @@ void handle_dag_request(ExperimentEngine& engine, SessionState& session,
       error = e.what();  // engine worker exceptions rethrown by handles
     }
     if (ok) {
-      MutexLock lock(session.mutex);
-      session.events.push_back(done_event(req, spec->nodes.size()));
+      push_event(session, done_event(req, spec->nodes.size()));
     } else {
       metrics.errors.fetch_add(1, std::memory_order_relaxed);
-      MutexLock lock(session.mutex);
-      session.events.push_back(error_event(req, error));
+      push_event(session, error_event(req, error));
     }
     finished->store(true, std::memory_order_release);
   });
@@ -344,21 +368,22 @@ void handle_dag_request(ExperimentEngine& engine, SessionState& session,
 }
 
 /// Parses and submits one request line; records pending points and the
-/// accepted (or error) event under the session lock.
-void handle_request(ExperimentEngine& engine, SessionState& session,
+/// accepted (or error) event under the session lock, then asks each
+/// still-running point's handle to wake the streamer once it is done.
+void handle_request(ExperimentEngine& engine,
+                    const std::shared_ptr<SessionState>& session,
                     SessionMetrics& metrics, const ServeOptions& options,
                     long req, const std::string& line,
                     std::vector<DagWorker>& dag_workers) {
   const SpecParseResult parsed = parse_scenario_spec_text(line);
   if (!parsed.ok) {
     metrics.errors.fetch_add(1, std::memory_order_relaxed);
-    MutexLock lock(session.mutex);
-    session.events.push_back(error_event(req, parsed.error));
+    push_event(*session, error_event(req, parsed.error));
     return;
   }
   if (parsed.spec.dag != nullptr) {
-    handle_dag_request(engine, session, metrics, options, req, parsed.spec.dag,
-                       dag_workers);
+    handle_dag_request(engine, *session, metrics, options, req,
+                       parsed.spec.dag, dag_workers);
     return;
   }
 
@@ -369,48 +394,81 @@ void handle_request(ExperimentEngine& engine, SessionState& session,
       std::string error;
       if (!submit_campaign(engine, parsed.spec, run, error)) {
         metrics.errors.fetch_add(1, std::memory_order_relaxed);
-        MutexLock lock(session.mutex);
-        session.events.push_back(error_event(req, error));
+        push_event(*session, error_event(req, error));
         return;
       }
       points.reserve(run.points.size());
       for (std::size_t i = 0; i < run.points.size(); ++i) {
         points.push_back({req, run.points[i].label, run.points[i].config,
-                          run.handles[i], false});
+                          run.handles[i]});
         count_outcome(metrics, run.outcomes[i]);
       }
     } else {
       ExperimentEngine::SubmitOutcome outcome;
       const ScenarioHandle handle = engine.submit(parsed.spec.config, &outcome);
       points.push_back({req, std::string(name(parsed.spec.config.kind())),
-                        parsed.spec.config, handle, false});
+                        parsed.spec.config, handle});
       count_outcome(metrics, outcome);
     }
   } catch (const std::exception& e) {
     // Validator rejections (std::invalid_argument) arrive here.
     metrics.errors.fetch_add(1, std::memory_order_relaxed);
-    MutexLock lock(session.mutex);
-    session.events.push_back(error_event(req, e.what()));
+    push_event(*session, error_event(req, e.what()));
     return;
   }
 
   metrics.points.fetch_add(points.size(), std::memory_order_relaxed);
   obs::counter("serve.points").add(points.size());
-  MutexLock lock(session.mutex);
-  session.events.push_back(
-      accepted_event(req, points.front().config.kind(), points.size()));
-  session.requests.push_back({req, points.size(), 0, false});
-  for (PendingPoint& point : points) {
-    session.pending.push_back(std::move(point));
+  // Points already done (cache and store hits) are found by the wake
+  // below; the rest wake the streamer as they complete.
+  std::vector<ScenarioHandle> running;
+  {
+    MutexLock lock(session->mutex);
+    session->events.push_back(
+        accepted_event(req, points.front().config.kind(), points.size()));
+    session->requests.emplace(req, RequestProgress{points.size(), 0});
+    for (PendingPoint& point : points) {
+      if (!point.handle.ready()) running.push_back(point.handle);
+      session->pending.push_back(std::move(point));
+    }
+    wake_streamer(*session);
+  }
+  // Outside the session lock: a point that finished since the check above
+  // runs its callback right here.
+  for (const ScenarioHandle& handle : running) {
+    handle.on_ready([session] {
+      MutexLock lock(session->mutex);
+      wake_streamer(*session);
+    });
   }
 }
 
-RequestProgress* find_request(SessionState& session, long req)
-    GPUPOWER_REQUIRES(session.mutex) {
-  for (RequestProgress& progress : session.requests) {
-    if (progress.req == req) return &progress;
+/// Reads one request line of at most kMaxRequestLineBytes bytes (without
+/// its newline) into `line`, like std::getline.  A longer line is
+/// consumed up to its newline and reported as kTooLong with `line`
+/// empty.
+enum class LineRead { kLine, kTooLong, kEof };
+
+LineRead read_request_line(std::istream& in, std::string& line) {
+  line.clear();
+  std::streambuf* buffer = in.rdbuf();
+  bool too_long = false;
+  for (;;) {
+    const int ch = buffer->sbumpc();
+    if (ch == std::char_traits<char>::eof()) {
+      if (too_long) return LineRead::kTooLong;
+      return line.empty() ? LineRead::kEof : LineRead::kLine;
+    }
+    if (ch == '\n') return too_long ? LineRead::kTooLong : LineRead::kLine;
+    if (too_long) continue;
+    if (line.size() == kMaxRequestLineBytes) {
+      too_long = true;
+      line.clear();
+      line.shrink_to_fit();
+      continue;
+    }
+    line.push_back(static_cast<char>(ch));
   }
-  return nullptr;
 }
 
 }  // namespace
@@ -469,7 +527,7 @@ std::vector<std::pair<std::string, double>> scenario_summary_metrics(
 
 long serve_session(ExperimentEngine& engine, std::istream& in,
                    std::ostream& out, const ServeOptions& options) {
-  SessionState session;
+  const auto session = std::make_shared<SessionState>();
   const SessionRegistration registration;
   SessionMetrics& metrics = *registration.metrics;
 
@@ -480,21 +538,29 @@ long serve_session(ExperimentEngine& engine, std::istream& in,
     std::vector<DagWorker> dag_workers;
     std::string raw;
     long req = 0;
-    while (std::getline(in, raw)) {
+    for (;;) {
+      const LineRead read = read_request_line(in, raw);
+      if (read == LineRead::kEof) break;
       reap_dag_workers(dag_workers, /*join_all=*/false);
       const std::string line = trimmed(raw);
-      if (line.empty()) continue;
+      if (read == LineRead::kLine && line.empty()) continue;
       ++req;
       metrics.requests.fetch_add(1, std::memory_order_relaxed);
       obs::counter("serve.requests").add();
+      if (read == LineRead::kTooLong) {
+        metrics.errors.fetch_add(1, std::memory_order_relaxed);
+        push_event(*session,
+                   error_event(req, "request line exceeds the " +
+                                        std::to_string(kMaxRequestLineBytes) +
+                                        "-byte limit; line discarded"));
+        continue;
+      }
       if (line == "stats") {
-        MutexLock lock(session.mutex);
-        session.events.push_back(stats_event(engine));
+        push_event(*session, stats_event(engine));
         continue;
       }
       if (line == "sessions") {
-        MutexLock lock(session.mutex);
-        session.events.push_back(sessions_event());
+        push_event(*session, sessions_event());
         continue;
       }
       // JSON command lines ({"cmd":"stats"}) share the request grammar
@@ -505,21 +571,17 @@ long serve_session(ExperimentEngine& engine, std::istream& in,
         if (parsed.ok && parsed.value.is_object() &&
             parsed.value.find("cmd") != nullptr) {
           const analysis::JsonValue& cmd = *parsed.value.find("cmd");
-          const bool is_stats = cmd.is_string() && cmd.as_string() == "stats";
-          const bool is_sessions =
-              cmd.is_string() && cmd.as_string() == "sessions";
-          if (!is_stats && !is_sessions) {
-            metrics.errors.fetch_add(1, std::memory_order_relaxed);
-          }
-          MutexLock lock(session.mutex);
-          if (is_stats) {
-            session.events.push_back(stats_event(engine));
-          } else if (is_sessions) {
-            session.events.push_back(sessions_event());
+          if (cmd.is_string() && cmd.as_string() == "stats") {
+            push_event(*session, stats_event(engine));
+          } else if (cmd.is_string() && cmd.as_string() == "sessions") {
+            push_event(*session, sessions_event());
           } else {
-            session.events.push_back(error_event(
-                req, "unknown cmd (supported commands are {\"cmd\":\"stats\"} "
-                     "and {\"cmd\":\"sessions\"})"));
+            metrics.errors.fetch_add(1, std::memory_order_relaxed);
+            push_event(*session,
+                       error_event(req,
+                                   "unknown cmd (supported commands are "
+                                   "{\"cmd\":\"stats\"} and "
+                                   "{\"cmd\":\"sessions\"})"));
           }
           continue;
         }
@@ -531,92 +593,120 @@ long serve_session(ExperimentEngine& engine, std::istream& in,
     // before declaring the reader done so the streamer never exits with a
     // dag still producing.
     reap_dag_workers(dag_workers, /*join_all=*/true);
-    MutexLock lock(session.mutex);
-    session.reader_done = true;
-    session.request_count = req;
+    MutexLock lock(session->mutex);
+    session->reader_done = true;
+    session->request_count = req;
+    wake_streamer(*session);
   });
 
-  // Event streamer: drain reader events, then emit every completed point
-  // the moment its handle is ready — the whole reason serve exists.
-  // Every line to the client flows through emit(), so bytes_streamed is
-  // exact (payload + newline).
+  // Event streamer: sleeps until woken, then takes the queued events and
+  // every point that is ready — in submission order — out of the session
+  // under its lock, and formats and writes them with the lock released,
+  // so neither a slow client nor a large result document ever blocks the
+  // reader or an engine worker's completion callback.  Every line to the
+  // client flows through emit(), so bytes_streamed is exact (payload +
+  // newline).
   const auto emit = [&out, &metrics](const std::string& line) {
     out << line << '\n';
     metrics.bytes_streamed.fetch_add(line.size() + 1,
                                      std::memory_order_relaxed);
     obs::counter("serve.bytes_streamed").add(line.size() + 1);
   };
-  std::size_t results_since_stats = 0;  // streamer-thread local
+  /// A ready point and, when it is its request's last, the done event's
+  /// point count (0 otherwise).
+  struct ReadyPoint {
+    PendingPoint point;
+    std::size_t done_points = 0;
+  };
+  std::deque<std::string> events;  // streamer-thread locals
+  std::vector<ReadyPoint> ready;
+  std::size_t results_since_stats = 0;
   for (;;) {
-    bool all_done = false;
+    bool finished = false;
     {
-      MutexLock lock(session.mutex);
-      while (!session.events.empty()) {
-        emit(session.events.front());
-        session.events.pop_front();
+      MutexLock lock(session->mutex);
+      while (!session->woken) session->wake.wait(session->mutex);
+      // Cleared before the scan, under the same lock: a completion after
+      // this point sets it again and earns another pass.
+      session->woken = false;
+      events.swap(session->events);
+      std::vector<PendingPoint>& pending = session->pending;
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        PendingPoint& point = pending[i];
+        if (!point.handle.ready()) {
+          if (kept != i) pending[kept] = std::move(point);
+          ++kept;
+          continue;
+        }
+        ReadyPoint entry{std::move(point), 0};
+        const auto progress = session->requests.find(entry.point.req);
+        if (++progress->second.emitted == progress->second.points) {
+          entry.done_points = progress->second.points;
+          session->requests.erase(progress);
+        }
+        ready.push_back(std::move(entry));
       }
-      for (PendingPoint& point : session.pending) {
-        if (point.emitted || !point.handle.ready()) continue;
-        std::string line;
-        bool ok = true;
-        try {
-          line = result_event(point, point.handle.get(), options);
-        } catch (const std::exception& e) {
-          line = error_event(point.req, point.label + ": " + e.what());
-          ok = false;
-        }
-        emit(line);
-        (ok ? metrics.results : metrics.errors)
-            .fetch_add(1, std::memory_order_relaxed);
-        if (ok) obs::counter("serve.results").add();
-        point.emitted = true;
-        // Periodic stats: a long-lived session reports engine health
-        // every N completed scenarios without being asked (off by
-        // default so the event stream of existing clients is unchanged).
-        // Counted per result, not per poll batch, so the cadence is
-        // deterministic however completions coalesce.
-        if (options.stats_every > 0 &&
-            ++results_since_stats >=
-                static_cast<std::size_t>(options.stats_every)) {
-          results_since_stats = 0;
-          emit(stats_event(engine));
-        }
-        RequestProgress* progress = find_request(session, point.req);
-        if (progress != nullptr && ++progress->emitted == progress->points &&
-            !progress->done_sent) {
-          progress->done_sent = true;
-          emit(done_event(progress->req, progress->points));
-        }
+      pending.resize(kept);
+      finished = session->reader_done && pending.empty();
+    }
+
+    for (const std::string& line : events) emit(line);
+    events.clear();
+    for (const ReadyPoint& entry : ready) {
+      const PendingPoint& point = entry.point;
+      std::string line;
+      bool ok = true;
+      try {
+        line = result_event(point, point.handle.get(), options);
+      } catch (const std::exception& e) {
+        line = error_event(point.req, point.label + ": " + e.what());
+        ok = false;
       }
-      out.flush();
-      all_done = session.reader_done && session.events.empty();
-      if (all_done) {
-        for (const PendingPoint& point : session.pending) {
-          if (!point.emitted) {
-            all_done = false;
-            break;
-          }
-        }
+      emit(line);
+      (ok ? metrics.results : metrics.errors)
+          .fetch_add(1, std::memory_order_relaxed);
+      if (ok) obs::counter("serve.results").add();
+      // Periodic stats: a long-lived session reports engine health every
+      // N completed scenarios without being asked (off by default so the
+      // event stream of existing clients is unchanged).  Counted per
+      // result, not per wake, so the cadence is deterministic however
+      // completions coalesce.
+      if (options.stats_every > 0 &&
+          ++results_since_stats >=
+              static_cast<std::size_t>(options.stats_every)) {
+        results_since_stats = 0;
+        emit(stats_event(engine));
+      }
+      if (entry.done_points != 0) {
+        emit(done_event(point.req, entry.done_points));
       }
     }
-    if (all_done || !out) break;
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(options.poll_ms > 0 ? options.poll_ms : 1));
+    ready.clear();
+    out.flush();
+    if (finished || !out) break;
   }
   reader.join();
   // The reader has exited and is joined: request_count is frozen, but the
   // analysis cannot see the join, so read it under the lock anyway (free).
-  MutexLock lock(session.mutex);
-  return session.request_count;
+  MutexLock lock(session->mutex);
+  return session->request_count;
 }
 
 namespace {
 
 /// Minimal bidirectional streambuf over a connected socket fd, so a
-/// socket client reuses the exact stream-based serve_session.
+/// socket client reuses the exact stream-based serve_session.  Writes
+/// collect in a put area that sync() (the streamer's one flush per wake)
+/// hands to write(2) in one call; an event larger than the area is
+/// written in area-sized pieces as it overflows.  The reader thread uses
+/// only the get area and the streamer only the put area.
 class FdStreamBuf : public std::streambuf {
  public:
-  explicit FdStreamBuf(int fd) : fd_(fd) { setg(in_, in_, in_); }
+  explicit FdStreamBuf(int fd) : fd_(fd) {
+    setg(in_, in_, in_);
+    setp(out_, out_ + sizeof(out_));
+  }
 
  protected:
   int_type underflow() override {
@@ -627,25 +717,37 @@ class FdStreamBuf : public std::streambuf {
   }
 
   int_type overflow(int_type ch) override {
-    if (ch == traits_type::eof()) return 0;
-    const char c = traits_type::to_char_type(ch);
-    return ::write(fd_, &c, 1) == 1 ? ch : traits_type::eof();
+    if (!drain()) return traits_type::eof();
+    if (traits_type::eq_int_type(ch, traits_type::eof())) {
+      return traits_type::not_eof(ch);
+    }
+    *pptr() = traits_type::to_char_type(ch);
+    pbump(1);
+    return ch;
   }
 
-  std::streamsize xsputn(const char* data, std::streamsize count) override {
-    std::streamsize written = 0;
-    while (written < count) {
-      const ssize_t n = ::write(fd_, data + written,
-                                static_cast<std::size_t>(count - written));
-      if (n <= 0) break;
-      written += n;
-    }
-    return written;
-  }
+  int sync() override { return drain() ? 0 : -1; }
 
  private:
+  /// Writes out the put area; false once the peer is gone.
+  bool drain() {
+    const char* data = pbase();
+    const char* const end = pptr();
+    while (data < end) {
+      // send(2) with MSG_NOSIGNAL: a vanished client is a failed write
+      // (the streamer stops), not a SIGPIPE that kills the server.
+      const ssize_t n = ::send(fd_, data, static_cast<std::size_t>(end - data),
+                               MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      data += n;
+    }
+    setp(out_, out_ + sizeof(out_));
+    return true;
+  }
+
   int fd_;
   char in_[4096];
+  char out_[16384];
 };
 
 }  // namespace

@@ -51,6 +51,20 @@
 // `serve.*` counters and a `serve.active_sessions` gauge in the obs
 // registry (visible in metrics_json() when metrics are on).
 //
+// Wake model: nothing polls.  Each session's streamer sleeps on a
+// condition variable and is woken by whatever gives it work — a queued
+// event (accepted, error, stats, sessions, dag node/done), the completion
+// of one of its running points (ScenarioHandle::on_ready, fired by the
+// engine worker that finishes the job), or the reader reaching EOF.
+// Cache and store hits are done at submit, so the accepted event's wake
+// finds them.  A woken streamer emits the queued events
+// first, then every ready point in submission order, each followed by its
+// request's done event when it is the last, and writes the batch with
+// one flush.  Emitted points leave the session, so a long-lived
+// connection costs the same per request at its millionth as at its first.
+// A request line longer than 1 MiB is discarded up to its newline and
+// answered with one error event naming the limit; it counts as a request.
+//
 // Metric names match the bench documents (kind_bench_metrics in
 // gpowerctl / BENCH_*.json), so serve output can be cross-checked against
 // `gpowerctl run --bench-out` — CI does exactly that.
@@ -71,8 +85,6 @@ struct ServeOptions {
   /// Attach the kind's full display document ("result": scenario_to_json)
   /// to every result event, not just the summary metrics.
   bool full_results = false;
-  /// Completion-poll interval for the event streamer.
-  int poll_ms = 2;
   /// Emit a stats event after every N completed scenarios; 0 (default)
   /// emits only on request, keeping the historical event stream exact.
   int stats_every = 0;

@@ -1,7 +1,15 @@
 #include "core/engine.hpp"
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <filesystem>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -10,6 +18,7 @@
 #include "core/activity_memo.hpp"
 #include "core/config_builder.hpp"
 #include "core/figures.hpp"
+#include "core/store/result_store.hpp"
 #include "gpusim/dvfs/timeline.hpp"
 
 namespace gpupower::core {
@@ -455,6 +464,149 @@ TEST(ActivityMemo, ClearCacheEmptiesTheMemo) {
   (void)engine.submit(config).get();
   EXPECT_EQ(engine.stats().activity_memo_misses, 6u);
   EXPECT_EQ(engine.stats().activity_memo_hits, 0u);
+}
+
+// --- ScenarioHandle::on_ready -----------------------------------------------
+
+/// Counts on_ready calls and remembers the thread of the last one.
+struct ReadyProbe {
+  std::atomic<int> calls{0};
+  std::atomic<bool> on_caller{false};
+  std::thread::id caller = std::this_thread::get_id();
+
+  std::function<void()> callback() {
+    return [this] {
+      on_caller.store(std::this_thread::get_id() == caller);
+      calls.fetch_add(1);
+    };
+  }
+};
+
+/// A job that computes for far longer than registering a callback takes
+/// (tens of ms on one worker, far more under sanitizers).
+ExperimentConfig slow_config(std::uint64_t base_seed) {
+  ExperimentConfig config = small_config();
+  config.n = 256;
+  config.seeds = 4;
+  config.base_seed = base_seed;
+  return config;
+}
+
+TEST(OnReady, FiresImmediatelyForAnAlreadyDoneJob) {
+  ExperimentEngine engine(four_workers());
+  const ScenarioHandle handle = engine.submit(small_config());
+  engine.wait_all();
+  ReadyProbe probe;
+  handle.on_ready(probe.callback());
+  EXPECT_EQ(probe.calls.load(), 1);
+  EXPECT_TRUE(probe.on_caller.load());
+}
+
+TEST(OnReady, FiresImmediatelyForACacheHit) {
+  ExperimentEngine engine(four_workers());
+  (void)engine.submit(small_config()).get();
+  ExperimentEngine::SubmitOutcome outcome{};
+  const ScenarioHandle hit = engine.submit(small_config(), &outcome);
+  ASSERT_EQ(outcome, ExperimentEngine::SubmitOutcome::kCacheHit);
+  ReadyProbe probe;
+  hit.on_ready(probe.callback());
+  EXPECT_EQ(probe.calls.load(), 1);
+  EXPECT_TRUE(probe.on_caller.load());
+}
+
+TEST(OnReady, FiresImmediatelyForAStoreHit) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("gpupower_on_ready_" +
+                        std::to_string(static_cast<long>(::getpid())));
+  fs::remove_all(dir);
+  EngineOptions options = four_workers();
+  options.store = std::make_shared<ResultStore>(StoreOptions{dir.string()});
+  {
+    ExperimentEngine cold(options);
+    (void)cold.submit(small_config());
+    cold.wait_all();  // persisted before it returns
+  }
+  ExperimentEngine warm(options);
+  ExperimentEngine::SubmitOutcome outcome{};
+  const ScenarioHandle hit = warm.submit(small_config(), &outcome);
+  ASSERT_EQ(outcome, ExperimentEngine::SubmitOutcome::kStoreHit);
+  ReadyProbe probe;
+  hit.on_ready(probe.callback());
+  EXPECT_EQ(probe.calls.load(), 1);
+  EXPECT_TRUE(probe.on_caller.load());
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(OnReady, FiresOnceOnTheWorkerForAComputedJob) {
+  // One worker: the callback is registered while the job computes and the
+  // finishing worker runs it.  Should the job ever beat the registration,
+  // the call lands on this thread instead; retry with a fresh working
+  // point rather than assert on a race.
+  ExperimentEngine engine(EngineOptions::with_workers(1));
+  bool fired_on_worker = false;
+  for (std::uint64_t attempt = 0; attempt < 5 && !fired_on_worker;
+       ++attempt) {
+    ReadyProbe probe;
+    const ScenarioHandle handle = engine.submit(slow_config(100 + attempt));
+    handle.on_ready(probe.callback());
+    engine.wait_all();
+    ASSERT_TRUE(handle.ready());
+    EXPECT_EQ(probe.calls.load(), 1);
+    fired_on_worker = !probe.on_caller.load();
+  }
+  EXPECT_TRUE(fired_on_worker);
+}
+
+TEST(OnReady, FiresForAJobWhoseReplicaThrows) {
+  // A value set larger than any vector can hold passes validation but
+  // throws std::length_error inside the replica.  Queued behind a slow job
+  // on the only worker, it is still pending when the callback registers.
+  ExperimentEngine engine(EngineOptions::with_workers(1));
+  (void)engine.submit(slow_config(200));
+  ExperimentConfig config = small_config();
+  config.pattern.value = PatternSpec::Value::kValueSet;
+  config.pattern.set_size = std::numeric_limits<std::size_t>::max() / 2;
+  const ScenarioHandle failing = engine.submit(config);
+  ReadyProbe probe;
+  failing.on_ready(probe.callback());
+  engine.wait_all();
+  EXPECT_EQ(probe.calls.load(), 1);
+  EXPECT_TRUE(failing.ready());
+  EXPECT_THROW((void)failing.get(), std::length_error);
+}
+
+TEST(OnReady, ConcurrentRegistrationsEachFireExactlyOnce) {
+  // Eight threads register while the job finishes: each registration lands
+  // either in the worker's callback list or on the done fast path, never
+  // both and never neither.
+  constexpr int kThreads = 8;
+  ExperimentEngine engine(four_workers());
+  ExperimentConfig config = small_config();
+  config.n = 128;  // still computing while the threads start
+  config.base_seed = 300;
+  const ScenarioHandle handle = engine.submit(config);
+  std::atomic<int> calls[kThreads] = {};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      handle.on_ready([&calls, i] { calls[i].fetch_add(1); });
+    });
+  }
+  go.store(true);
+  for (std::thread& thread : threads) thread.join();
+  engine.wait_all();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(calls[i].load(), 1) << "thread " << i;
+  }
+}
+
+TEST(OnReady, InvalidHandleThrows) {
+  const ScenarioHandle handle;
+  EXPECT_THROW(handle.on_ready([] {}), std::logic_error);
 }
 
 }  // namespace

@@ -8,9 +8,13 @@
 //   - overlapping submissions dedup: unique configs are computed exactly
 //     once no matter how many clients ask;
 //   - the socket server shuts down cleanly through ServeSocketControl
-//     with all session threads joined and the socket file removed.
+//     with all session threads joined and the socket file removed;
+//   - events reach a client that keeps its connection open (completions
+//     wake the streamer, not the reader), large events arrive byte-exact,
+//     and an over-long request line costs one error event, not the session.
 #include "core/store/serve.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -394,6 +398,190 @@ TEST(ServeStress, StopRequestedBeforeServeReturnsImmediately) {
   EXPECT_TRUE(
       serve_unix_socket(engine, socket_path, ServeOptions{}, error, &control));
   EXPECT_FALSE(fs::exists(socket_path));
+}
+
+// --- event-driven streaming over an open connection -------------------------
+
+/// Starts serve_unix_socket on its own thread; stop() unwinds it.
+class SocketServer {
+ public:
+  SocketServer(ExperimentEngine& engine, const char* tag,
+               const ServeOptions& options = {})
+      : path_(stress_socket_path(tag)) {
+    thread_ = std::thread([this, &engine, options] {
+      ok_ = serve_unix_socket(engine, path_, options, error_, &control_);
+    });
+  }
+  ~SocketServer() {
+    if (thread_.joinable()) stop();
+  }
+  SocketServer(const SocketServer&) = delete;
+  SocketServer& operator=(const SocketServer&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+  void stop() {
+    control_.request_stop();
+    thread_.join();
+    EXPECT_TRUE(ok_) << error_;
+  }
+
+ private:
+  std::string path_;
+  ServeSocketControl control_;
+  std::string error_;
+  bool ok_ = false;
+  std::thread thread_;
+};
+
+/// Client connection closed on scope exit, so a failed assertion cannot
+/// leave the server's session (and stop()) waiting on a silent client.
+struct ClientFd {
+  explicit ClientFd(const std::string& path) : fd(connect_with_retry(path)) {}
+  ~ClientFd() {
+    if (fd >= 0) (void)::close(fd);
+  }
+  ClientFd(const ClientFd&) = delete;
+  ClientFd& operator=(const ClientFd&) = delete;
+  int fd;
+};
+
+/// Deadline for one awaited event batch on an open connection.
+constexpr std::int64_t kEventDeadlineNs = 60'000'000'000;
+
+/// Reads from `fd` into `output` until it holds `count` events of `type`,
+/// without closing or half-closing the connection.  False when the
+/// deadline passes first (the streamer slept through a completion) or the
+/// server hangs up.
+bool read_until_events(int fd, std::string& output, const std::string& type,
+                       std::size_t count) {
+  const std::int64_t deadline = obs::now_ns() + kEventDeadlineNs;
+  char buffer[4096];
+  while (count_events(output, type) < count) {
+    const std::int64_t left_ms = (deadline - obs::now_ns()) / 1'000'000;
+    if (left_ms <= 0) return false;
+    pollfd waiting{fd, POLLIN, 0};
+    if (::poll(&waiting, 1, static_cast<int>(left_ms)) <= 0) return false;
+    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
+    if (n <= 0) return false;
+    output.append(buffer, static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+// A client that sends a request and then neither writes nor half-closes:
+// its reader stays parked in read(2), so only the completion callbacks
+// can wake the streamer.  A freshly computed campaign's done and a dag's
+// node events and done must each arrive within the deadline.
+TEST(ServeStress, CompletionsReachAClientThatKeepsItsConnectionOpen) {
+  ExperimentEngine engine(EngineOptions::with_workers(2));
+  SocketServer server(engine, "open");
+  const ClientFd client(server.path());
+  const int fd = client.fd;
+  ASSERT_GE(fd, 0);
+
+  std::string output;
+  ASSERT_TRUE(send_all(fd, std::string(kCampaignSpec) + "\n"));
+  ASSERT_TRUE(read_until_events(fd, output, "done", 1))
+      << "campaign done never arrived on the open connection:\n"
+      << output;
+  EXPECT_EQ(count_events(output, "result"), 2u);
+  EXPECT_EQ(engine.stats().jobs_computed, 2u);  // computed, not cached
+
+  const std::string dag =
+      R"json({"scenario": "dag", "name": "open_connection", "nodes": [)json"
+      R"json({"name": "fp16", "run": {"scenario": "static", "experiment":)json"
+      R"json( {"gpu": "a100", "dtype": "fp16", "n": 64, "seeds": 1,)json"
+      R"json( "base_seed": 5, "pattern": "gaussian(sigma=210)",)json"
+      R"json( "sampling": {"tiles": 4, "k_fraction": 0.5}}}},)json"
+      R"json( {"name": "int8", "run": {"scenario": "static", "experiment":)json"
+      R"json( {"gpu": "a100", "dtype": "int8", "n": 64, "seeds": 1,)json"
+      R"json( "base_seed": 5, "pattern": "gaussian(sigma=210)",)json"
+      R"json( "sampling": {"tiles": 4, "k_fraction": 0.5}}}}]})json";
+  ASSERT_TRUE(send_all(fd, dag + "\n"));
+  ASSERT_TRUE(read_until_events(fd, output, "done", 2))
+      << "dag events never arrived on the open connection:\n"
+      << output;
+  EXPECT_EQ(count_events(output, "node"), 2u);
+  EXPECT_EQ(count_events(output, "error"), 0u);
+
+  (void)::shutdown(fd, SHUT_WR);
+  output += read_to_eof(fd);
+  server.stop();
+  EXPECT_EQ(count_events(output, "done"), 2u);
+}
+
+// A full_results fleet event is larger than the socket stream's write
+// buffer: it must still arrive byte-identical to the same session over
+// plain streams.
+TEST(ServeStress, EventsLargerThanTheWriteBufferArriveByteExact) {
+  const std::string fleet =
+      R"json({"scenario": "fleet", "experiment": {"gpu": "a100",)json"
+      R"json( "dtype": "fp16", "n": 64, "seeds": 1,)json"
+      R"json( "pattern": "gaussian(sigma=210)",)json"
+      R"json( "sampling": {"tiles": 4, "k_fraction": 0.5}},)json"
+      R"json( "timelines": ["burst(period=0.2, duty=30%, high=100%,)json"
+      R"json( low=5%, dur=2)"], "devices": [{"gpu": "a100",)json"
+      R"json( "governor": "utilization(up=80%, down=30%)"}],)json"
+      R"json( "cap_w": 300, "slice_s": 0.01, "pstates": 5})json";
+  ExperimentEngine engine(EngineOptions::with_workers(2));
+  ServeOptions options;
+  options.full_results = true;
+
+  SocketServer server(engine, "large", options);
+  const ClientFd client(server.path());
+  const int fd = client.fd;
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, fleet + "\n"));
+  (void)::shutdown(fd, SHUT_WR);
+  const std::string over_socket = read_to_eof(fd);
+  server.stop();
+
+  std::istringstream in(fleet + "\n");
+  std::ostringstream out;
+  (void)serve_session(engine, in, out, options);
+  const std::string over_stream = out.str();
+
+  EXPECT_EQ(over_socket, over_stream);
+  std::size_t longest = 0;
+  std::istringstream lines(over_stream);
+  for (std::string line; std::getline(lines, line);) {
+    longest = std::max(longest, line.size());
+  }
+  EXPECT_GT(longest, std::size_t{16384}) << "fixture no longer exceeds the "
+                                            "socket write buffer";
+}
+
+// A 2 MiB line is discarded with one error event that names the limit; the
+// valid spec after it is served as request 2.
+TEST(ServeStress, OverlongRequestLineIsAnErrorAndTheSessionContinues) {
+  ExperimentEngine engine(EngineOptions::with_workers(2));
+  SocketServer server(engine, "overlong");
+  const ClientFd client(server.path());
+  const int fd = client.fd;
+  ASSERT_GE(fd, 0);
+  const std::string overlong(std::size_t{2} << 20, 'x');
+  ASSERT_TRUE(send_all(fd, overlong + "\n" + kSingleSpec + "\n"));
+  (void)::shutdown(fd, SHUT_WR);
+  const std::string output = read_to_eof(fd);
+  server.stop();
+
+  std::vector<analysis::JsonValue> events;
+  std::istringstream lines(output);
+  for (std::string line; std::getline(lines, line);) {
+    const auto parsed = analysis::json_parse(line);
+    ASSERT_TRUE(parsed.ok) << line;
+    events.push_back(parsed.value);
+  }
+  ASSERT_EQ(events.size(), 4u) << output;
+  const char* const expected[] = {"error", "accepted", "result", "done"};
+  const double expected_req[] = {1, 2, 2, 2};
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].find("type")->as_string(), expected[i]) << i;
+    EXPECT_EQ(events[i].find("req")->as_number(0), expected_req[i]) << i;
+  }
+  EXPECT_NE(events[0].find("error")->as_string().find("1048576"),
+            std::string::npos)
+      << output;
 }
 
 }  // namespace

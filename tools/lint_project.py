@@ -30,6 +30,12 @@ a documented contract of this codebase:
   no-detach        Detached threads outlive scope with no join point —
                    they race process teardown and poison TSan runs.  All
                    threads in src/ are joined.
+  no-sleep-poll    std::this_thread::sleep_for/sleep_until in src/: the
+                   library waits on condition variables (engine queue,
+                   job completion, serve streamer wake), never on a timer.
+                   A sleep-poll loop sets a latency floor and burns a core
+                   when idle.  Tools may sleep for display intervals
+                   (gpowerctl top); tests may back off while connecting.
   one-clock        Raw std::chrono::steady_clock reads outside core/obs
                    fork the time base: spans, metrics and bench timings
                    must agree about "now".  Time through core::obs
@@ -239,6 +245,13 @@ def lint_file(path: pathlib.Path, root: pathlib.Path) -> list[Finding]:
             add("no-detach", lineno,
                 "detached thread races process teardown (and poisons TSan) "
                 "— keep a handle and join")
+
+    # no-sleep-poll: the library waits on events, not timers.
+    if rpath.startswith("src/"):
+        for lineno, _ in grep(code, r"\bsleep_(for|until)\s*\("):
+            add("no-sleep-poll", lineno,
+                "sleep in the library — wait on a condition variable that "
+                "the producer signals instead of polling on a timer")
 
     # one-clock: all timing flows through core/obs so traces, metrics and
     # bench numbers share a single time base.
