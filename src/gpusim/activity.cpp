@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 

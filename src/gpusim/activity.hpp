@@ -2,7 +2,9 @@
 // partial-product activity, and accumulator switching over the tiled GEMM
 // traversal — the raw inputs to the power model.
 //
-// Two backends compute the same ActivityTotals, bit-identically:
+// Two backends compute the same ActivityTotals, bit-identically on
+// NaN-free inputs (on NaN inputs they pick different NaN operands and
+// disagree; ROADMAP: a canonical NaN rule):
 //
 //  - kBatched (default): the bit-plane kernel.  Each tile's A-row / B-column
 //    operand words are gathered into contiguous per-stream buffers once per

@@ -36,30 +36,6 @@ void ActivityTotals::scale_by(double factor) noexcept {
   mul(macs);
 }
 
-std::uint32_t significand(std::uint32_t bits, int width) noexcept {
-  switch (width) {
-    case 8: {
-      // Sign-magnitude: Booth-style recoding makes array activity track the
-      // operand magnitude, not the raw two's-complement bits (whose
-      // popcount explodes for small negative values).
-      const auto v = static_cast<std::int32_t>(static_cast<std::int8_t>(bits));
-      return static_cast<std::uint32_t>(v < 0 ? -v : v);
-    }
-    case 16: {
-      const std::uint32_t exp = (bits >> 10) & 0x1Fu;
-      const std::uint32_t mant = bits & 0x3FFu;
-      return exp == 0 ? mant : (mant | 0x400u);
-    }
-    case 32: {
-      const std::uint32_t exp = (bits >> 23) & 0xFFu;
-      const std::uint32_t mant = bits & 0x7FFFFFu;
-      return exp == 0 ? mant : (mant | 0x800000u);
-    }
-    default:
-      return 0;
-  }
-}
-
 std::uint32_t exponent_activity(std::uint32_t a_bits, std::uint32_t b_bits,
                                 int width) noexcept {
   switch (width) {

@@ -85,8 +85,33 @@ struct ActivityTotals {
 /// Significand in the multiplier array's operand domain: the two's
 /// complement byte for INT8, the hidden-bit mantissa for FP16/FP32 (zero and
 /// subnormal values carry no hidden bit, so a zero operand contributes no
-/// partial products — the hardware's zero gating).
-[[nodiscard]] std::uint32_t significand(std::uint32_t bits, int width) noexcept;
+/// partial products — the hardware's zero gating).  Inline: the batched
+/// activity kernel calls it per element with a constant width, so the
+/// switch folds away and the loop around it vectorises.
+[[nodiscard]] constexpr std::uint32_t significand(std::uint32_t bits,
+                                                  int width) noexcept {
+  switch (width) {
+    case 8: {
+      // Sign-magnitude: Booth-style recoding makes array activity track the
+      // operand magnitude, not the raw two's-complement bits (whose
+      // popcount explodes for small negative values).
+      const auto v = static_cast<std::int32_t>(static_cast<std::int8_t>(bits));
+      return static_cast<std::uint32_t>(v < 0 ? -v : v);
+    }
+    case 16: {
+      const std::uint32_t exp = (bits >> 10) & 0x1Fu;
+      const std::uint32_t mant = bits & 0x3FFu;
+      return exp == 0 ? mant : (mant | 0x400u);
+    }
+    case 32: {
+      const std::uint32_t exp = (bits >> 23) & 0xFFu;
+      const std::uint32_t mant = bits & 0x7FFFFFu;
+      return exp == 0 ? mant : (mant | 0x800000u);
+    }
+    default:
+      return 0;
+  }
+}
 
 /// Popcount of the exponent fields of both operands (FP only), gated to zero
 /// when either operand is zero (no multiply happens).

@@ -5,7 +5,7 @@
 
 namespace gpupower::numeric {
 
-std::uint16_t float16_t::from_float(float value) noexcept {
+std::uint16_t float16_t::from_float_slow(float value) noexcept {
   const std::uint32_t f = std::bit_cast<std::uint32_t>(value);
   const std::uint32_t sign = (f >> 16) & 0x8000u;
   const std::uint32_t abs = f & 0x7FFFFFFFu;

@@ -5,6 +5,7 @@
 // type must match hardware representation bit for bit.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -17,6 +18,29 @@ class float16_t {
   /// Converts from float with IEEE round-to-nearest-even, handling
   /// subnormals, overflow-to-infinity, and NaN payload preservation.
   explicit float16_t(float value) noexcept : bits_(from_float(value)) {}
+
+  /// The conversion's storage bits.  Inline, and branch-free over the
+  /// normal binary16 range [2^-14, 2^16): rebias the exponent from 127 to
+  /// 15, then round the 13 dropped mantissa bits to nearest even by adding
+  /// 0xFFF plus the kept LSB, which carries into the kept bits exactly when
+  /// the dropped bits exceed half an ULP or equal it with the LSB odd.  A
+  /// carry out of the mantissa bumps the exponent, up to infinity for
+  /// values >= 65520.  Every other input takes from_float_slow.
+  [[nodiscard]] static std::uint16_t from_float(float value) noexcept {
+    const std::uint32_t f = std::bit_cast<std::uint32_t>(value);
+    const std::uint32_t abs = f & 0x7FFFFFFFu;
+    if (abs - 0x38800000u < 0x47800000u - 0x38800000u) {
+      const std::uint32_t rebased = abs - 0x38000000u;  // (127-15) << 23
+      const std::uint32_t half =
+          (rebased + 0xFFFu + ((rebased >> 13) & 1u)) >> 13;
+      return static_cast<std::uint16_t>(((f >> 16) & 0x8000u) | half);
+    }
+    return from_float_slow(value);
+  }
+
+  /// The general conversion, every input class branch by branch: NaN,
+  /// infinity and overflow, normal, subnormal.
+  [[nodiscard]] static std::uint16_t from_float_slow(float value) noexcept;
 
   /// Reinterprets raw storage bits as a half value.
   [[nodiscard]] static constexpr float16_t from_bits(std::uint16_t bits) noexcept {
@@ -74,7 +98,6 @@ class float16_t {
   static constexpr int kBits = 16;
 
  private:
-  [[nodiscard]] static std::uint16_t from_float(float value) noexcept;
   [[nodiscard]] static float to_float_impl(std::uint16_t bits) noexcept;
 
   std::uint16_t bits_ = 0;

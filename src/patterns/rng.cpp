@@ -1,6 +1,5 @@
 #include "patterns/rng.hpp"
 
-#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -12,43 +11,6 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   // All-zero state is invalid for xoshiro; SplitMix64 cannot produce four
   // consecutive zeros, but guard anyway.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Xoshiro256::next() noexcept {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
-}
-
-double Xoshiro256::uniform() noexcept {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double Xoshiro256::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t Xoshiro256::uniform_below(std::uint64_t bound) noexcept {
-  if (bound == 0) return 0;
-  // Lemire's multiply-shift rejection method.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto l = static_cast<std::uint64_t>(m);
-  if (l < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (l < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 double Xoshiro256::gaussian() noexcept {

@@ -7,6 +7,7 @@
 // implementation-defined std::normal_distribution.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 
@@ -36,20 +37,51 @@ class Xoshiro256 {
 
   explicit Xoshiro256(std::uint64_t seed) noexcept;
 
-  std::uint64_t next() noexcept;
+  // The per-element draws are defined here so the input generators'
+  // loops inline them.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
   std::uint64_t operator()() noexcept { return next(); }
 
   static constexpr std::uint64_t min() noexcept { return 0; }
   static constexpr std::uint64_t max() noexcept { return ~std::uint64_t{0}; }
 
   /// Uniform double in [0, 1) with 53 random bits.
-  double uniform() noexcept;
+  double uniform() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) noexcept;
+  double uniform(double lo, double hi) noexcept {
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Uniform integer in [0, bound) without modulo bias (Lemire reduction).
-  std::uint64_t uniform_below(std::uint64_t bound) noexcept;
+  std::uint64_t uniform_below(std::uint64_t bound) noexcept {
+    if (bound == 0) return 0;
+    // Lemire's multiply-shift rejection method.
+    std::uint64_t x = next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto l = static_cast<std::uint64_t>(m);
+    if (l < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (l < threshold) {
+        x = next();
+        m = static_cast<__uint128_t>(x) * bound;
+        l = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Standard normal via Box-Muller; caches the second variate.
   double gaussian() noexcept;

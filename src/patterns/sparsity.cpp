@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "patterns/placement.hpp"
@@ -9,20 +10,44 @@
 
 namespace gpupower::patterns {
 
-void sparsify(std::vector<float>& data, double fraction, std::uint64_t seed) {
-  const std::size_t n = data.size();
-  const auto k = static_cast<std::size_t>(
-      std::llround(std::clamp(fraction, 0.0, 1.0) * static_cast<double>(n)));
-  if (k == 0) return;
+namespace detail {
 
+template <typename Index>
+void sparsify_draws(std::span<float> data, std::size_t k, std::uint64_t seed) {
   // Partial Fisher-Yates: choose k distinct positions.
-  std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  const std::size_t n = data.size();
+  std::vector<Index> idx(n);
+  std::iota(idx.begin(), idx.end(), Index{0});
   Xoshiro256 rng(seed);
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t j = i + rng.uniform_below(n - i);
     std::swap(idx[i], idx[j]);
     data[idx[i]] = 0.0f;
+  }
+}
+
+template void sparsify_draws<std::uint32_t>(std::span<float>, std::size_t,
+                                            std::uint64_t);
+template void sparsify_draws<std::size_t>(std::span<float>, std::size_t,
+                                          std::uint64_t);
+
+}  // namespace detail
+
+void sparsify(std::vector<float>& data, double fraction, std::uint64_t seed) {
+  const std::size_t n = data.size();
+  const auto k = static_cast<std::size_t>(
+      std::llround(std::clamp(fraction, 0.0, 1.0) * static_cast<double>(n)));
+  if (k == 0) return;
+  if (k == n) {
+    // The draws visit every position exactly once: whatever they are, the
+    // result is all zeros.
+    std::fill(data.begin(), data.end(), 0.0f);
+    return;
+  }
+  if (n <= std::numeric_limits<std::uint32_t>::max()) {
+    detail::sparsify_draws<std::uint32_t>(data, k, seed);
+  } else {
+    detail::sparsify_draws<std::size_t>(data, k, seed);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace gpupower::patterns {
@@ -13,6 +14,18 @@ namespace gpupower::patterns {
 /// number of zeroed positions is round(fraction * size); positions are drawn
 /// without replacement so the realised sparsity is exact.
 void sparsify(std::vector<float>& data, double fraction, std::uint64_t seed);
+
+namespace detail {
+
+/// sparsify's draw loop: a partial Fisher-Yates pass zeroing k distinct
+/// positions of `data`, over a position array of type Index.  sparsify
+/// uses 32-bit positions when they fit (half the array's memory traffic);
+/// both widths draw the same positions.  Instantiated for std::uint32_t
+/// and std::size_t.
+template <typename Index>
+void sparsify_draws(std::span<float> data, std::size_t k, std::uint64_t seed);
+
+}  // namespace detail
 
 /// Fig. 6b helper: fully sorts the buffer ascending and then applies random
 /// sparsity, destroying the value locality the sort created.

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "core/pattern_spec.hpp"
 #include "numeric/isa.hpp"
 #include "patterns/distributions.hpp"
 
@@ -159,22 +161,27 @@ TEST(Sampling, ExactPlanWalksEveryTile) {
 // every dtype (SIMT and tensor-core datapaths), exact and sampled plans,
 // both B layouts, and ragged tile/K edges.
 
-void expect_identical_totals(const ActivityEstimate& batched,
-                             const ActivityEstimate& observer) {
+void expect_identical_counts(const ActivityTotals& batched,
+                             const ActivityTotals& observer) {
   // Whole-struct equality covers counter fields added later; the per-field
   // checks below localise a failure.
-  EXPECT_TRUE(batched.totals == observer.totals);
-  EXPECT_EQ(batched.totals.fetch_words, observer.totals.fetch_words);
-  EXPECT_EQ(batched.totals.fetch_toggles, observer.totals.fetch_toggles);
-  EXPECT_EQ(batched.totals.fetch_weight, observer.totals.fetch_weight);
-  EXPECT_EQ(batched.totals.operand_words, observer.totals.operand_words);
-  EXPECT_EQ(batched.totals.operand_toggles, observer.totals.operand_toggles);
-  EXPECT_EQ(batched.totals.operand_weight, observer.totals.operand_weight);
-  EXPECT_EQ(batched.totals.mult_pp, observer.totals.mult_pp);
-  EXPECT_EQ(batched.totals.exponent_bits, observer.totals.exponent_bits);
-  EXPECT_EQ(batched.totals.acc_updates, observer.totals.acc_updates);
-  EXPECT_EQ(batched.totals.acc_toggles, observer.totals.acc_toggles);
-  EXPECT_EQ(batched.totals.macs, observer.totals.macs);
+  EXPECT_TRUE(batched == observer);
+  EXPECT_EQ(batched.fetch_words, observer.fetch_words);
+  EXPECT_EQ(batched.fetch_toggles, observer.fetch_toggles);
+  EXPECT_EQ(batched.fetch_weight, observer.fetch_weight);
+  EXPECT_EQ(batched.operand_words, observer.operand_words);
+  EXPECT_EQ(batched.operand_toggles, observer.operand_toggles);
+  EXPECT_EQ(batched.operand_weight, observer.operand_weight);
+  EXPECT_EQ(batched.mult_pp, observer.mult_pp);
+  EXPECT_EQ(batched.exponent_bits, observer.exponent_bits);
+  EXPECT_EQ(batched.acc_updates, observer.acc_updates);
+  EXPECT_EQ(batched.acc_toggles, observer.acc_toggles);
+  EXPECT_EQ(batched.macs, observer.macs);
+}
+
+void expect_identical_totals(const ActivityEstimate& batched,
+                             const ActivityEstimate& observer) {
+  expect_identical_counts(batched.totals, observer.totals);
   EXPECT_EQ(batched.sampled, observer.sampled);
   EXPECT_EQ(batched.tiles_walked, observer.tiles_walked);
   EXPECT_EQ(batched.tiles_total, observer.tiles_total);
@@ -288,6 +295,141 @@ TEST(IsaDispatchParity, PopcntBatchedMatchesPortable) {
     GTEST_SKIP() << "this CPU has no popcnt instruction";
   }
   run_variant_all_dtypes(true);
+}
+
+// --- non-finite parity corpus --------------------------------------------
+//
+// The parity matrices above are all finite.  Fig. 4a inputs (one constant
+// value with a fraction of every element's bits flipped) put Inf and NaN
+// patterns on the FP datapaths.  With every NaN scrubbed -- to the
+// same-signed infinity, or to zero -- both compiled batched variants must
+// still match the observer walk: the only NaN the arithmetic can then make
+// (Inf - Inf, 0 x Inf) is the one default NaN, whatever operand order the
+// compiler picks.
+
+enum class NanScrub { kToInf, kToZero };
+
+template <typename T>
+core::ExperimentInputs<T> fig4a_inputs(DType dtype, double fraction) {
+  core::PatternSpec spec;
+  spec.value = core::PatternSpec::Value::kConstant;
+  spec.bitop = core::PatternSpec::BitOp::kFlipRandom;
+  spec.bit_fraction = fraction;
+  return core::build_inputs<T>(spec, dtype, kParityN, 0xF14Au);
+}
+
+template <typename T>
+std::size_t count_nans(const Matrix<T>& m) {
+  using traits = gpupower::numeric::scalar_traits<T>;
+  std::size_t nans = 0;
+  for (const T v : m.span()) nans += std::isnan(traits::to_float(v)) ? 1 : 0;
+  return nans;
+}
+
+/// Replaces every NaN element; returns how many non-finite elements the
+/// matrix holds afterwards.
+template <typename T>
+std::size_t scrub_nans(Matrix<T>& m, NanScrub scrub) {
+  using traits = gpupower::numeric::scalar_traits<T>;
+  std::size_t nonfinite = 0;
+  for (T& v : m.span()) {
+    const float f = traits::to_float(v);
+    if (std::isnan(f)) {
+      v = traits::from_float(
+          scrub == NanScrub::kToInf
+              ? std::copysign(std::numeric_limits<float>::infinity(), f)
+              : 0.0f);
+    }
+    nonfinite += std::isfinite(traits::to_float(v)) ? 0 : 1;
+  }
+  return nonfinite;
+}
+
+template <typename T>
+void run_nonfinite_case(DType dtype, NanScrub scrub) {
+  const auto config = TileConfig::for_dtype(dtype);
+  std::size_t nonfinite = 0;
+  for (const double fraction : {0.25, 0.5, 0.75}) {
+    auto inputs = fig4a_inputs<T>(dtype, fraction);
+    nonfinite += scrub_nans(inputs.a, scrub) + scrub_nans(inputs.b, scrub);
+    for (const bool transpose_b : {true, false}) {
+      const GemmProblem problem = GemmProblem::square(kParityN, transpose_b);
+      for (const SamplingPlan& plan :
+           {SamplingPlan::exact(), SamplingPlan{8, 0.5, 0x5EEDu}}) {
+        const auto observer =
+            estimate_activity(problem, inputs.a, inputs.b, config, plan,
+                              ActivityBackend::kObserver);
+        expect_identical_totals(
+            detail::estimate_batched_portable<T>(problem, inputs.a, inputs.b,
+                                                 config, plan),
+            observer);
+        if (gpupower::numeric::cpu_has_popcnt()) {
+          expect_identical_totals(
+              detail::estimate_batched_popcnt<T>(problem, inputs.a, inputs.b,
+                                                 config, plan),
+              observer);
+        }
+      }
+    }
+  }
+  // The corpus must reach the non-finite datapath it exists for.
+  if (dtype != DType::kINT8 && scrub == NanScrub::kToInf) {
+    EXPECT_GT(nonfinite, 0u) << gpupower::numeric::name(dtype);
+  }
+}
+
+void run_nonfinite_all_dtypes(NanScrub scrub) {
+  run_nonfinite_case<float>(DType::kFP32, scrub);
+  run_nonfinite_case<float16_t>(DType::kFP16, scrub);
+  run_nonfinite_case<float16_t>(DType::kFP16T, scrub);
+  run_nonfinite_case<gpupower::numeric::int8_value_t>(DType::kINT8, scrub);
+}
+
+TEST(NonFiniteParity, InfScrubbedBitFlipsMatchObserver) {
+  run_nonfinite_all_dtypes(NanScrub::kToInf);
+}
+
+TEST(NonFiniteParity, ZeroScrubbedBitFlipsMatchObserver) {
+  run_nonfinite_all_dtypes(NanScrub::kToZero);
+}
+
+// With input NaNs the accumulator's bits depend on which NaN operand each
+// float op returns, which on x86 depends on operand order.  The batched
+// kernel spells its orders out on such K-ranges; the observer walk,
+// compiled separately, uses other orders and disagrees with it today
+// (ROADMAP: a canonical NaN rule).  Until that re-baseline, pin the
+// batched totals on Fig. 4a inputs at 50% to the values the kernel gave
+// before its NaN orders were spelled out (x86-64), so they cannot drift.
+template <typename T>
+void expect_pinned_nan_totals(DType dtype, const ActivityTotals& pinned) {
+  const auto inputs = fig4a_inputs<T>(dtype, 0.5);
+  ASSERT_GT(count_nans(inputs.a) + count_nans(inputs.b), 0u);
+  const GemmProblem problem = GemmProblem::square(kParityN, true);
+  const auto config = TileConfig::for_dtype(dtype);
+  const SamplingPlan plan{8, 0.5, 0x5EEDu};
+  const auto portable = detail::estimate_batched_portable<T>(
+      problem, inputs.a, inputs.b, config, plan);
+  expect_identical_counts(portable.totals, pinned);
+  if (gpupower::numeric::cpu_has_popcnt()) {
+    expect_identical_totals(detail::estimate_batched_popcnt<T>(
+                                problem, inputs.a, inputs.b, config, plan),
+                            portable);
+  }
+}
+
+TEST(NonFiniteParity, NanInputsKeepPinnedBatchedTotals) {
+  expect_pinned_nan_totals<float>(
+      DType::kFP32,
+      {174938, 2806644, 2796707, 6464250, 103673466, 103366615,
+       930616785, 25811423, 3232125, 1989624, 3232125});
+  expect_pinned_nan_totals<float16_t>(
+      DType::kFP16,
+      {174938, 1401869, 1398786, 6464250, 51735559, 51720663,
+       196499791, 16094250, 3232125, 4048727, 3232125});
+  expect_pinned_nan_totals<float16_t>(
+      DType::kFP16T,
+      {132300, 1057160, 1057705, 636814, 5092942, 5084656,
+       198379878, 16299674, 228684, 1323549, 3277800});
 }
 
 // --- port-state persistence ----------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "patterns/distributions.hpp"
 
@@ -46,6 +47,36 @@ TEST(Sparsity, SeedSelectsDifferentPositions) {
   sparsify(a, 0.5, 1);
   sparsify(b, 0.5, 2);
   EXPECT_NE(a, b);
+}
+
+/// Bitwise buffer equality: a signed zero must not pass for the other.
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Sparsity, FullFractionFastPathEqualsDrawLoop) {
+  auto fast = gaussian_fill(777, 0.0, 210.0, 42);
+  auto drawn = fast;
+  sparsify(fast, 1.0, 7);
+  detail::sparsify_draws<std::size_t>(drawn, drawn.size(), 7);
+  EXPECT_TRUE(same_bits(fast, drawn));
+}
+
+TEST(Sparsity, IndexWidthsDrawTheSameZeroSet) {
+  for (const double fraction : {0.1, 0.5, 0.9}) {
+    auto narrow = gaussian_fill(4096, 0.0, 210.0, 42);
+    auto wide = narrow;
+    const auto k = static_cast<std::size_t>(
+        std::llround(fraction * static_cast<double>(narrow.size())));
+    detail::sparsify_draws<std::uint32_t>(narrow, k, 9);
+    detail::sparsify_draws<std::size_t>(wide, k, 9);
+    EXPECT_TRUE(same_bits(narrow, wide)) << fraction;
+    // sparsify itself takes the 32-bit path at this size.
+    auto dispatched = gaussian_fill(4096, 0.0, 210.0, 42);
+    sparsify(dispatched, fraction, 9);
+    EXPECT_TRUE(same_bits(dispatched, wide)) << fraction;
+  }
 }
 
 TEST(Sparsity, AfterSortSortsFirst) {
