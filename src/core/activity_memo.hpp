@@ -12,21 +12,17 @@
 // lets an ExperimentEngine compute it once per working point.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <memory>
-#include <string>
-#include <unordered_map>
 
-#include "core/annotations.hpp"
 #include "core/experiment.hpp"
+#include "core/memo_table.hpp"
 #include "core/scenario.hpp"
 #include "gemm/problem.hpp"
 #include "gpusim/simulator.hpp"
 
 namespace gpupower::core {
+
+class ValuesMemoTable;
 
 /// Everything a replica of any kind reads from its working point's inputs.
 struct WorkingPointActivity {
@@ -41,52 +37,30 @@ struct WorkingPointActivity {
 inline constexpr std::size_t kActivityMemoCapacity = 4096;
 
 /// The working-point -> activity table an ExperimentEngine owns, shared by
-/// every scenario kind.  Thread-safe.  The first requester of a key
-/// computes it; concurrent requesters of that key wait on the same entry
-/// and start no second walk.  A compute that throws reaches every waiter
-/// and its entry is dropped, not cached.  Replicas read the table through
-/// an ActivityMemo, which names the requester.
-class ActivityMemoTable {
+/// every scenario kind: a MemoTable (core/memo_table.hpp) whose entries
+/// cost 1 each.  Replicas read the table through an ActivityMemo, which
+/// names the requester.
+class ActivityMemoTable : public MemoTable<WorkingPointActivity> {
  public:
   /// `capacity` is kActivityMemoCapacity everywhere but the eviction test.
   explicit ActivityMemoTable(std::size_t capacity = kActivityMemoCapacity)
-      : capacity_(capacity) {}
-  ActivityMemoTable(const ActivityMemoTable&) = delete;
-  ActivityMemoTable& operator=(const ActivityMemoTable&) = delete;
-
-  /// Lookups of `kind` served by an existing entry (waits on an in-flight
-  /// entry included) / that computed their entry.
-  [[nodiscard]] std::uint64_t hits(ScenarioKind kind) const noexcept;
-  [[nodiscard]] std::uint64_t misses(ScenarioKind kind) const noexcept;
-  /// Entries held, in-flight ones included.
-  [[nodiscard]] std::size_t size() const;
-  /// Drops every completed entry (in-flight ones finish and stay shared);
-  /// resets no counters.
-  void clear();
-
- private:
-  friend class ActivityMemo;
-  struct Entry;
-
-  const std::size_t capacity_;
-  mutable Mutex mutex_;
-  CondVar done_cv_;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> entries_
-      GPUPOWER_GUARDED_BY(mutex_);
-  /// Keys of completed entries, oldest first (the eviction order).
-  std::deque<std::string> completed_ GPUPOWER_GUARDED_BY(mutex_);
-  std::atomic<std::uint64_t> hits_[kScenarioKindCount] = {};
-  std::atomic<std::uint64_t> misses_[kScenarioKindCount] = {};
+      : MemoTable(capacity,
+                  [](const WorkingPointActivity&) noexcept -> std::size_t {
+                    return 1;
+                  }) {}
 };
 
 /// One requester's view of an ActivityMemoTable: the kind whose counters
-/// its lookups bump and the scenario key its `activity.memo` spans carry
-/// (an obs::intern()ed string, or nullptr).  Cheap to build per replica.
+/// its lookups bump, the scenario key its `activity.memo` spans carry (an
+/// obs::intern()ed string, or nullptr), and the ValuesMemoTable its input
+/// builds draw their value streams from (or nullptr).  Cheap to build per
+/// replica.
 class ActivityMemo {
  public:
   ActivityMemo(ActivityMemoTable& table, ScenarioKind kind,
-               const char* trace_key = nullptr) noexcept
-      : table_(&table), kind_(kind), trace_key_(trace_key) {}
+               const char* trace_key = nullptr,
+               ValuesMemoTable* values = nullptr) noexcept
+      : table_(&table), kind_(kind), trace_key_(trace_key), values_(values) {}
 
   /// working_point_activity(sim, problem, experiment, pattern, seed_index),
   /// computed at most once per key for the table's lifetime (until
@@ -102,6 +76,7 @@ class ActivityMemo {
   ActivityMemoTable* table_;
   ScenarioKind kind_;
   const char* trace_key_;
+  ValuesMemoTable* values_;
 };
 
 /// The one compute path of every replica kind: builds seed `seed_index`'s

@@ -4,6 +4,7 @@
 #include "core/annotations.hpp"
 #include "core/obs/obs.hpp"
 #include "core/store/result_store.hpp"
+#include "core/values_memo.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -15,6 +16,10 @@
 #include <thread>
 #include <unordered_map>
 #include <utility>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace gpupower::core {
 namespace detail {
@@ -88,6 +93,9 @@ struct EngineState {
   /// Unused when the cache is disabled (a cache-less engine recomputes by
   /// contract).
   ActivityMemoTable activity_memo;
+  /// Value stream -> FP32 values, read by the activity memo's input
+  /// builds.  Cleared whenever `outstanding` drops to zero.
+  ValuesMemoTable values_memo;
 
   /// The persistent store, when one is attached AND the cache is enabled
   /// (a cache-less engine recomputes by contract, so it must not read
@@ -211,7 +219,12 @@ void finish_job(EngineState& state, const std::shared_ptr<ScenarioJob>& job) {
   {
     MutexLock lock(state.done_mutex);
     --state.outstanding;
-    if (state.outstanding == 0) state.done_cv.notify_all();
+    if (state.outstanding == 0) {
+      // Drained: streams are shared between working points in flight
+      // together, and an idle engine holds no stream bytes.
+      state.values_memo.clear();
+      state.done_cv.notify_all();
+    }
   }
 }
 
@@ -232,7 +245,8 @@ void run_replica_task(EngineState& state,
   obs_end("queue.wait", enqueue_ns, state.queue_wait_ns[kind_index],
           replica_args);
   const std::int64_t t0 = obs_begin();
-  const ActivityMemo memo(state.activity_memo, info.kind, job->trace_key);
+  const ActivityMemo memo(state.activity_memo, info.kind, job->trace_key,
+                          &state.values_memo);
   try {
     // Disjoint slots: no lock needed for the write, the job's atomic
     // countdown orders it before the reduction.
@@ -338,6 +352,19 @@ ExperimentEngine::ExperimentEngine(EngineOptions options)
   // touching its main(); explicit gpowerctl flags were applied earlier
   // and win (init_from_env is once-per-process and defers to them).
   obs::init_from_env();
+#if defined(__GLIBC__)
+  // glibc raises its mmap threshold each time a mapped block is freed (up
+  // to 32 MiB on 64-bit), so after a few replicas the MiB-sized input
+  // buffers come from the workers' heap arenas, which keep freed space
+  // instead of returning it.  A perfbench figure_sweep run (N = 1024, 4
+  // workers, 4-core x86-64) then peaks at 196-204 MB RSS, against ~121 MB
+  // with the threshold pinned at 1 MiB: pinning also stops the dynamic
+  // adjustment, so those buffers are mapped per allocation and unmapped
+  // on free, and RSS tracks live data.  Once per process; the result is
+  // ignored.
+  static const bool mmap_threshold_pinned [[maybe_unused]] =
+      mallopt(M_MMAP_THRESHOLD, 1 << 20) != 0;
+#endif
   state_->options = options;
   int workers = options.workers;
   if (workers <= 0) {
@@ -511,6 +538,7 @@ EngineStats ExperimentEngine::stats() const {
   EngineStats stats = state_->stats;
   stats.replicas_run = 0;
   stats.store_writes = 0;
+  stats.values_memo_bytes = state_->values_memo.held_cost();
   for (std::size_t k = 0; k < kScenarioKindCount; ++k) {
     EngineKindStats& kind = stats.by_kind[k];
     kind.replicas_run = state_->replicas_run[k].load(std::memory_order_relaxed);
@@ -522,6 +550,11 @@ EngineStats ExperimentEngine::stats() const {
     kind.activity_memo_misses =
         state_->activity_memo.misses(kAllScenarioKinds[k]);
     stats.activity_memo_misses += kind.activity_memo_misses;
+    kind.values_memo_hits = state_->values_memo.hits(kAllScenarioKinds[k]);
+    stats.values_memo_hits += kind.values_memo_hits;
+    kind.values_memo_misses =
+        state_->values_memo.misses(kAllScenarioKinds[k]);
+    stats.values_memo_misses += kind.values_memo_misses;
 
     kind.compute_seconds =
         static_cast<double>(
@@ -569,6 +602,7 @@ void ExperimentEngine::clear_cache() {
     state_->cache.clear();
   }
   state_->activity_memo.clear();
+  state_->values_memo.clear();
 }
 
 std::string engine_stats_line(const ExperimentEngine& engine) {
@@ -621,6 +655,10 @@ analysis::JsonValue kind_stats_json(const EngineKindStats& k) {
           JsonValue::integer(static_cast<long long>(k.activity_memo_hits)));
   out.set("activity_memo_misses",
           JsonValue::integer(static_cast<long long>(k.activity_memo_misses)));
+  out.set("values_memo_hits",
+          JsonValue::integer(static_cast<long long>(k.values_memo_hits)));
+  out.set("values_memo_misses",
+          JsonValue::integer(static_cast<long long>(k.values_memo_misses)));
   // Hit ratio of the lookups that reached the store: every store consult
   // either hits or falls through to a compute.
   const double lookups =
@@ -652,6 +690,8 @@ analysis::JsonValue engine_stats_json(const EngineStats& stats, int workers) {
   total.store_writes = stats.store_writes;
   total.activity_memo_hits = stats.activity_memo_hits;
   total.activity_memo_misses = stats.activity_memo_misses;
+  total.values_memo_hits = stats.values_memo_hits;
+  total.values_memo_misses = stats.values_memo_misses;
   total.compute_seconds = stats.compute_seconds;
   total.queue_wait_seconds = stats.queue_wait_seconds;
   total.reduce_seconds = stats.reduce_seconds;
@@ -669,6 +709,8 @@ analysis::JsonValue engine_stats_json(const EngineStats& stats, int workers) {
   for (const std::string& key : out.keys()) {
     doc.set(key, *out.find(key));
   }
+  doc.set("values_memo_bytes",
+          JsonValue::integer(static_cast<long long>(stats.values_memo_bytes)));
   doc.set("by_kind", std::move(by_kind));
   return doc;
 }

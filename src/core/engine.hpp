@@ -37,6 +37,12 @@
 //    kActivityMemoCapacity completed entries (oldest evicted first), and
 //    clear_cache() empties it.  A cache-less engine (cache_enabled =
 //    false) bypasses it and recomputes every walk, like run_scenario.
+//  - The memo's input builds draw their FP32 value streams from the
+//    engine's ValuesMemoTable (core/values_memo.hpp): working points that
+//    differ only in dtype, placement, sparsity or bit op generate their A
+//    and B streams once.  It keeps at most kValuesMemoBudgetBytes of
+//    completed streams and drops them whenever the queue drains, so an
+//    idle engine holds no stream bytes.
 #pragma once
 
 #include <cstdint>
@@ -97,6 +103,10 @@ struct EngineKindStats {
   /// engine's memo (waits on an in-flight walk included) / that walked.
   std::uint64_t activity_memo_hits = 0;
   std::uint64_t activity_memo_misses = 0;
+  /// Value-stream lookups of this kind's input builds served by the
+  /// engine's values memo (waits included) / that generated the stream.
+  std::uint64_t values_memo_hits = 0;
+  std::uint64_t values_memo_misses = 0;
 
   double compute_seconds = 0.0;      ///< replica hook time, summed per task
   double queue_wait_seconds = 0.0;   ///< enqueue -> worker-pickup, per task
@@ -114,6 +124,11 @@ struct EngineStats {
   std::uint64_t store_writes = 0;  ///< completed jobs persisted to the store
   std::uint64_t activity_memo_hits = 0;    ///< sums of the per-kind counts
   std::uint64_t activity_memo_misses = 0;
+  std::uint64_t values_memo_hits = 0;
+  std::uint64_t values_memo_misses = 0;
+  /// Completed stream bytes the values memo holds now: 0 whenever the
+  /// engine is idle.
+  std::uint64_t values_memo_bytes = 0;
 
   double compute_seconds = 0.0;      ///< sums of the per-kind timings below
   double queue_wait_seconds = 0.0;
@@ -207,8 +222,8 @@ class ExperimentEngine {
   [[nodiscard]] analysis::JsonValue metrics_json() const;
 
   /// Drops completed results from the cache (outstanding handles keep
-  /// their jobs alive) and completed entries from the activity memo;
-  /// resets no counters.
+  /// their jobs alive) and completed entries from the activity and values
+  /// memos; resets no counters.
   void clear_cache();
 
  private:
@@ -224,9 +239,9 @@ class ExperimentEngine {
 [[nodiscard]] std::string engine_stats_line(const ExperimentEngine& engine);
 
 /// EngineStats as a stable JSON object: the aggregate counters (activity
-/// memo hits and misses included, which engine_stats_line omits) and timing
-/// fields plus a "by_kind" object keyed by kind name (every kind present,
-/// fixed key order), prefixed with "workers".  Embedded by the bench
+/// and values memo hits and misses included, which engine_stats_line
+/// omits) and timing fields plus a "by_kind" object keyed by kind name
+/// (every kind present, fixed key order), prefixed with "workers".  Embedded by the bench
 /// documents (tools/bench_export) and by metrics_json(), so the two
 /// exports can never drift apart.
 [[nodiscard]] analysis::JsonValue engine_stats_json(const EngineStats& stats,

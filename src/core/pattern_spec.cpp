@@ -1,11 +1,15 @@
 #include "core/pattern_spec.hpp"
 
 #include <cmath>
+#include <span>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "core/obs/obs.hpp"
+#include "core/values_memo.hpp"
 #include "numeric/bits.hpp"
 #include "patterns/bitops.hpp"
-#include "patterns/distributions.hpp"
 #include "patterns/placement.hpp"
 #include "patterns/rng.hpp"
 #include "patterns/sparsity.hpp"
@@ -23,18 +27,43 @@ enum Stream : std::uint64_t {
   kStreamBitsB = 5,
 };
 
-std::vector<float> generate_values(const PatternSpec& spec, double sigma,
-                                   std::size_t count, std::uint64_t seed) {
-  switch (spec.value) {
-    case PatternSpec::Value::kGaussian:
-      return patterns::gaussian_fill(count, spec.mean, sigma, seed);
-    case PatternSpec::Value::kValueSet:
-      return patterns::value_set_fill(count, spec.set_size, spec.mean, sigma,
-                                      seed);
-    case PatternSpec::Value::kConstant:
-      return patterns::constant_random_fill(count, spec.mean, sigma, seed);
+/// One matrix's FP32 values before conversion: a stream shared through
+/// the values memo, or a private buffer that placement and sparsity may
+/// mutate.
+struct StagedValues {
+  SharedValues shared;
+  std::vector<float> own;
+
+  [[nodiscard]] std::span<const float> view() const noexcept {
+    return shared ? std::span<const float>(*shared)
+                  : std::span<const float>(own);
   }
-  return patterns::gaussian_fill(count, spec.mean, sigma, seed);
+};
+
+/// Constant fills bypass the memo: their generate is one draw and a fill.
+StagedValues stage_values(const ValueStream& stream, bool mutates,
+                          const ValuesMemo* memo) {
+  StagedValues staged;
+  if (memo == nullptr || stream.value == PatternSpec::Value::kConstant) {
+    staged.own = stream.generate();
+  } else if (mutates) {
+    const SharedValues values = memo->get(stream);
+    staged.own.assign(values->begin(), values->end());
+  } else {
+    staged.shared = memo->get(stream);
+  }
+  return staged;
+}
+
+/// Converts staged values to T.  A private FP32 buffer becomes the
+/// matrix's storage as is; everything else is converted element by
+/// element.
+template <typename T>
+gemm::Matrix<T> materialize_staged(StagedValues& staged, std::size_t n) {
+  if constexpr (std::is_same_v<T, float>) {
+    if (!staged.shared) return gemm::Matrix<float>(n, n, std::move(staged.own));
+  }
+  return gemm::materialize<T>(staged.view(), n, n);
 }
 
 void apply_placement(const PatternSpec& spec, std::vector<float>& data,
@@ -89,43 +118,45 @@ void apply_bitop(const PatternSpec& spec, gemm::Matrix<T>& m,
 template <typename T>
 ExperimentInputs<T> build_inputs(const PatternSpec& spec,
                                  gpupower::numeric::DType dtype, std::size_t n,
-                                 std::uint64_t seed) {
+                                 std::uint64_t seed, const ValuesMemo* memo) {
   using gpupower::numeric::DType;
   const bool is_int8 = dtype == DType::kINT8;
   // Scale the FP-domain distribution parameters into INT8's representable
   // range, as the paper does (210 -> 25).
   const double range_scale = is_int8 ? 25.0 / 210.0 : 1.0;
-  double sigma = spec.sigma < 0.0
-                     ? gpupower::numeric::default_sigma(dtype)
-                     : spec.sigma * range_scale;
-  const double saved_mean = spec.mean;
-  PatternSpec local = spec;
-  local.mean = saved_mean * range_scale;
+  ValueStream stream;
+  stream.value = spec.value;
+  stream.mean = spec.mean * range_scale;
+  stream.sigma = spec.sigma < 0.0 ? gpupower::numeric::default_sigma(dtype)
+                                  : spec.sigma * range_scale;
+  stream.set_size = spec.set_size;
+  stream.count = n * n;
+  const bool mutates =
+      spec.place != PatternSpec::Place::kNone || spec.sparsity > 0.0;
 
   // One span per stage under inputs.build, so a trace attributes the
   // whole input build.  With tracing off each costs one flag check.
   const obs::Span build("inputs.build");
-  const std::size_t count = n * n;
-  std::vector<float> a_vals;
-  std::vector<float> b_vals;
+  StagedValues a_vals;
+  StagedValues b_vals;
   {
     const obs::Span stage("inputs.generate");
-    a_vals = generate_values(local, sigma, count,
-                             patterns::derive_seed(seed, kStreamA));
-    b_vals = generate_values(local, sigma, count,
-                             patterns::derive_seed(seed, kStreamB));
+    stream.seed = patterns::derive_seed(seed, kStreamA);
+    a_vals = stage_values(stream, mutates, memo);
+    stream.seed = patterns::derive_seed(seed, kStreamB);
+    b_vals = stage_values(stream, mutates, memo);
   }
   {
     const obs::Span stage("inputs.place");
-    apply_placement(spec, a_vals, n);
-    apply_placement(spec, b_vals, n);
+    apply_placement(spec, a_vals.own, n);
+    apply_placement(spec, b_vals.own, n);
   }
   {
     const obs::Span stage("inputs.sparsify");
     if (spec.sparsity > 0.0) {
-      patterns::sparsify(a_vals, spec.sparsity,
+      patterns::sparsify(a_vals.own, spec.sparsity,
                          patterns::derive_seed(seed, kStreamSparsityA));
-      patterns::sparsify(b_vals, spec.sparsity,
+      patterns::sparsify(b_vals.own, spec.sparsity,
                          patterns::derive_seed(seed, kStreamSparsityB));
     }
   }
@@ -133,8 +164,8 @@ ExperimentInputs<T> build_inputs(const PatternSpec& spec,
   ExperimentInputs<T> inputs;
   {
     const obs::Span stage("inputs.materialize");
-    inputs.a = gemm::materialize<T>(a_vals, n, n);
-    inputs.b = gemm::materialize<T>(b_vals, n, n);
+    inputs.a = materialize_staged<T>(a_vals, n);
+    inputs.b = materialize_staged<T>(b_vals, n);
   }
   {
     const obs::Span stage("inputs.bitop");
@@ -143,13 +174,12 @@ ExperimentInputs<T> build_inputs(const PatternSpec& spec,
   }
   {
     const obs::Span stage("inputs.features");
-    const auto a_bits = gemm::raw_bits(inputs.a);
-    const auto b_bits = gemm::raw_bits(inputs.b);
+    // Scanned in place: each element's storage is its raw bits.
     const int width = gpupower::numeric::bit_width(dtype);
-    inputs.alignment =
-        gpupower::numeric::average_alignment(a_bits, b_bits, width);
+    inputs.alignment = gpupower::numeric::average_alignment(
+        inputs.a.span(), inputs.b.span(), width);
     inputs.weight_fraction =
-        gpupower::numeric::average_weight_fraction(a_bits, width);
+        gpupower::numeric::average_weight_fraction(inputs.a.span(), width);
   }
   return inputs;
 }
@@ -157,14 +187,17 @@ ExperimentInputs<T> build_inputs(const PatternSpec& spec,
 template ExperimentInputs<float> build_inputs<float>(const PatternSpec&,
                                                      gpupower::numeric::DType,
                                                      std::size_t,
-                                                     std::uint64_t);
+                                                     std::uint64_t,
+                                                     const ValuesMemo*);
 template ExperimentInputs<gpupower::numeric::float16_t>
 build_inputs<gpupower::numeric::float16_t>(const PatternSpec&,
                                            gpupower::numeric::DType,
-                                           std::size_t, std::uint64_t);
+                                           std::size_t, std::uint64_t,
+                                           const ValuesMemo*);
 template ExperimentInputs<gpupower::numeric::int8_value_t>
 build_inputs<gpupower::numeric::int8_value_t>(const PatternSpec&,
                                               gpupower::numeric::DType,
-                                              std::size_t, std::uint64_t);
+                                              std::size_t, std::uint64_t,
+                                              const ValuesMemo*);
 
 }  // namespace gpupower::core

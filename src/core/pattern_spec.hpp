@@ -66,23 +66,31 @@ struct ExperimentInputs {
   double weight_fraction = 0.0;  ///< avg Hamming weight of A / width
 };
 
+class ValuesMemo;
+
 /// Materialises one seed replica of a spec for an n x n GEMM.  A and B use
-/// streams derived from `seed` so they never share randomness.
+/// streams derived from `seed` so they never share randomness.  With a
+/// non-null `memo` the Gaussian and value-set streams come through it
+/// (core/values_memo.hpp), bit-identically: a pattern that neither places
+/// nor sparsifies converts the shared values in place, and only patterns
+/// that mutate the values copy them.
 template <typename T>
-[[nodiscard]] ExperimentInputs<T> build_inputs(const PatternSpec& spec,
-                                               gpupower::numeric::DType dtype,
-                                               std::size_t n,
-                                               std::uint64_t seed);
+[[nodiscard]] ExperimentInputs<T> build_inputs(
+    const PatternSpec& spec, gpupower::numeric::DType dtype, std::size_t n,
+    std::uint64_t seed, const ValuesMemo* memo = nullptr);
 
 extern template ExperimentInputs<float> build_inputs<float>(
-    const PatternSpec&, gpupower::numeric::DType, std::size_t, std::uint64_t);
+    const PatternSpec&, gpupower::numeric::DType, std::size_t, std::uint64_t,
+    const ValuesMemo*);
 extern template ExperimentInputs<gpupower::numeric::float16_t>
 build_inputs<gpupower::numeric::float16_t>(const PatternSpec&,
                                            gpupower::numeric::DType,
-                                           std::size_t, std::uint64_t);
+                                           std::size_t, std::uint64_t,
+                                           const ValuesMemo*);
 extern template ExperimentInputs<gpupower::numeric::int8_value_t>
 build_inputs<gpupower::numeric::int8_value_t>(const PatternSpec&,
                                               gpupower::numeric::DType,
-                                              std::size_t, std::uint64_t);
+                                              std::size_t, std::uint64_t,
+                                              const ValuesMemo*);
 
 }  // namespace gpupower::core

@@ -113,9 +113,8 @@ DataFeatures extract_features(const gemm::Matrix<T>& a,
                   (static_cast<double>(kWidth) * kWidth)
             : 0.0;
 
-  const auto a_bits = gemm::raw_bits(a);
-  const auto b_bits = gemm::raw_bits(b);
-  f.alignment = gpupower::numeric::average_alignment(a_bits, b_bits, kWidth);
+  f.alignment =
+      gpupower::numeric::average_alignment(a.span(), b.span(), kWidth);
   return f;
 }
 

@@ -65,7 +65,7 @@ class Matrix {
 /// following the paper's protocol of generating FP32 values once and
 /// converting per datatype.
 template <typename T>
-[[nodiscard]] Matrix<T> materialize(const std::vector<float>& values,
+[[nodiscard]] Matrix<T> materialize(std::span<const float> values,
                                     std::size_t rows, std::size_t cols) {
   assert(values.size() == rows * cols);
   Matrix<T> out(rows, cols);

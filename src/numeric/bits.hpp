@@ -14,6 +14,9 @@
 #include <span>
 #include <concepts>
 
+#include "numeric/float16.hpp"
+#include "numeric/int8.hpp"
+
 namespace gpupower::numeric {
 
 /// Mask keeping only the low `width` bits.
@@ -70,30 +73,77 @@ template <std::unsigned_integral W>
 /// Average bit alignment between element-wise pairs of two equally long
 /// streams (paper Fig. 8 x-axis).  `width` is the datatype bit width; the
 /// words carry each element's raw storage bits in their low `width` bits.
+/// The float16_t, int8_value_t and float overloads scan FP16, INT8 and
+/// FP32 matrix storage in place (Matrix::span(); a float is read as its
+/// bit pattern) and equal the uint32_t scan of gemm::raw_bits.
 [[nodiscard]] double average_alignment(std::span<const std::uint32_t> a,
                                        std::span<const std::uint32_t> b,
                                        int width) noexcept;
+[[nodiscard]] double average_alignment(std::span<const float16_t> a,
+                                       std::span<const float16_t> b,
+                                       int width) noexcept;
+[[nodiscard]] double average_alignment(std::span<const int8_value_t> a,
+                                       std::span<const int8_value_t> b,
+                                       int width) noexcept;
+[[nodiscard]] double average_alignment(std::span<const float> a,
+                                       std::span<const float> b,
+                                       int width) noexcept;
 
-/// Average Hamming weight per element normalised by width (paper Fig. 8).
+/// Average Hamming weight per element normalised by width (paper Fig. 8),
+/// over the same four element types.
 [[nodiscard]] double average_weight_fraction(std::span<const std::uint32_t> words,
+                                             int width) noexcept;
+[[nodiscard]] double average_weight_fraction(std::span<const float16_t> words,
+                                             int width) noexcept;
+[[nodiscard]] double average_weight_fraction(std::span<const int8_value_t> words,
+                                             int width) noexcept;
+[[nodiscard]] double average_weight_fraction(std::span<const float> words,
                                              int width) noexcept;
 
 namespace detail {
 
-/// The two feature scans compiled for the portable baseline and under the
-/// popcnt target (numeric/isa.hpp).  The public scans above pick one per
-/// CPU; the parity tests call both.  Call a *_popcnt variant only when
-/// cpu_has_popcnt().
+/// The feature scans compiled for the portable baseline and under the
+/// popcnt target (numeric/isa.hpp), one pair per element type.  The
+/// public scans above pick one per CPU; the parity tests call both.  Call
+/// a *_popcnt variant only when cpu_has_popcnt().
 [[nodiscard]] double average_alignment_portable(
-    std::span<const std::uint32_t> a, std::span<const std::uint32_t> b,
-    int width) noexcept;
+    std::span<const std::uint32_t> a,
+    std::span<const std::uint32_t> b, int width) noexcept;
 [[nodiscard]] double average_alignment_popcnt(
-    std::span<const std::uint32_t> a, std::span<const std::uint32_t> b,
-    int width) noexcept;
+    std::span<const std::uint32_t> a,
+    std::span<const std::uint32_t> b, int width) noexcept;
 [[nodiscard]] double average_weight_fraction_portable(
     std::span<const std::uint32_t> words, int width) noexcept;
 [[nodiscard]] double average_weight_fraction_popcnt(
     std::span<const std::uint32_t> words, int width) noexcept;
+[[nodiscard]] double average_alignment_portable(
+    std::span<const float16_t> a,
+    std::span<const float16_t> b, int width) noexcept;
+[[nodiscard]] double average_alignment_popcnt(
+    std::span<const float16_t> a,
+    std::span<const float16_t> b, int width) noexcept;
+[[nodiscard]] double average_weight_fraction_portable(
+    std::span<const float16_t> words, int width) noexcept;
+[[nodiscard]] double average_weight_fraction_popcnt(
+    std::span<const float16_t> words, int width) noexcept;
+[[nodiscard]] double average_alignment_portable(
+    std::span<const int8_value_t> a,
+    std::span<const int8_value_t> b, int width) noexcept;
+[[nodiscard]] double average_alignment_popcnt(
+    std::span<const int8_value_t> a,
+    std::span<const int8_value_t> b, int width) noexcept;
+[[nodiscard]] double average_weight_fraction_portable(
+    std::span<const int8_value_t> words, int width) noexcept;
+[[nodiscard]] double average_weight_fraction_popcnt(
+    std::span<const int8_value_t> words, int width) noexcept;
+[[nodiscard]] double average_alignment_portable(
+    std::span<const float> a, std::span<const float> b, int width) noexcept;
+[[nodiscard]] double average_alignment_popcnt(
+    std::span<const float> a, std::span<const float> b, int width) noexcept;
+[[nodiscard]] double average_weight_fraction_portable(
+    std::span<const float> words, int width) noexcept;
+[[nodiscard]] double average_weight_fraction_popcnt(
+    std::span<const float> words, int width) noexcept;
 
 }  // namespace detail
 

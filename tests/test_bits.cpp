@@ -2,13 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <vector>
 
+#include "core/experiment.hpp"
+#include "core/pattern_spec.hpp"
+#include "gemm/matrix.hpp"
 #include "numeric/isa.hpp"
 
 namespace gpupower::numeric {
 namespace {
+
+/// The widened raw-bit words the uint32_t scans take.
+using Words = std::span<const std::uint32_t>;
 
 TEST(Bits, LowMask) {
   EXPECT_EQ(low_mask<std::uint32_t>(0), 0u);
@@ -73,13 +82,13 @@ TEST(Bits, AverageAlignmentDegenerateInputs) {
   const std::vector<std::uint32_t> a{1, 2};
   const std::vector<std::uint32_t> b{1};
   EXPECT_DOUBLE_EQ(average_alignment(a, b, 16), 0.0);  // size mismatch
-  EXPECT_DOUBLE_EQ(average_alignment({}, {}, 16), 0.0);
+  EXPECT_DOUBLE_EQ(average_alignment(Words{}, Words{}, 16), 0.0);
 }
 
 TEST(Bits, AverageWeightFraction) {
   const std::vector<std::uint32_t> words{0xFFFFu, 0x0000u};
   EXPECT_DOUBLE_EQ(average_weight_fraction(words, 16), 0.5);
-  EXPECT_DOUBLE_EQ(average_weight_fraction({}, 16), 0.0);
+  EXPECT_DOUBLE_EQ(average_weight_fraction(Words{}, 16), 0.0);
 }
 
 // Property: toggles along a stream equal the sum of pairwise distances.
@@ -136,16 +145,96 @@ void expect_scans_match_elementwise(Alignment alignment, Weight weight) {
 }
 
 TEST(BitsDispatchParity, PortableScansMatch) {
-  expect_scans_match_elementwise(detail::average_alignment_portable,
-                                 detail::average_weight_fraction_portable);
+  expect_scans_match_elementwise(
+      [](Words a, Words b, int width) {
+        return detail::average_alignment_portable(a, b, width);
+      },
+      [](Words words, int width) {
+        return detail::average_weight_fraction_portable(words, width);
+      });
 }
 
 TEST(BitsDispatchParity, PopcntScansMatch) {
   if (!cpu_has_popcnt()) {
     GTEST_SKIP() << "this CPU has no popcnt instruction";
   }
-  expect_scans_match_elementwise(detail::average_alignment_popcnt,
-                                 detail::average_weight_fraction_popcnt);
+  expect_scans_match_elementwise(
+      [](Words a, Words b, int width) {
+        return detail::average_alignment_popcnt(a, b, width);
+      },
+      [](Words words, int width) {
+        return detail::average_weight_fraction_popcnt(words, width);
+      });
+}
+
+// The in-place storage scans (float16_t, int8_value_t and float spans)
+// equal the uint32_t scans of gemm::raw_bits, bit for bit, in both
+// compiled variants and through the public dispatch.
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+template <typename T>
+void expect_storage_scans_match_raw_bits(const gemm::Matrix<T>& a,
+                                         const gemm::Matrix<T>& b,
+                                         int width) {
+  const std::vector<std::uint32_t> a_raw = gemm::raw_bits(a);
+  const std::vector<std::uint32_t> b_raw = gemm::raw_bits(b);
+  const std::span<const T> a_words = a.span();
+  const std::span<const T> b_words = b.span();
+  const double alignment =
+      detail::average_alignment_portable(Words(a_raw), Words(b_raw), width);
+  const double weight =
+      detail::average_weight_fraction_portable(Words(a_raw), width);
+  EXPECT_TRUE(same_bits(
+      detail::average_alignment_portable(a_words, b_words, width), alignment));
+  EXPECT_TRUE(same_bits(
+      detail::average_weight_fraction_portable(a_words, width), weight));
+  EXPECT_TRUE(same_bits(average_alignment(a_words, b_words, width), alignment));
+  EXPECT_TRUE(same_bits(average_weight_fraction(a_words, width), weight));
+  if (cpu_has_popcnt()) {
+    EXPECT_TRUE(same_bits(
+        detail::average_alignment_popcnt(a_words, b_words, width), alignment));
+    EXPECT_TRUE(same_bits(
+        detail::average_weight_fraction_popcnt(a_words, width), weight));
+  }
+}
+
+TEST(BitsDispatchParity, StorageScansMatchRawBitsOnFig4aInputs) {
+  // Fig. 4a: one constant per matrix with a fraction of every element's
+  // bits flipped, which puts NaN and Inf patterns in the FP storage.
+  for (const DType dtype : kAllDTypes) {
+    for (const double fraction : {0.25, 0.5, 0.875}) {
+      core::PatternSpec spec;
+      spec.value = core::PatternSpec::Value::kConstant;
+      spec.bitop = core::PatternSpec::BitOp::kFlipRandom;
+      spec.bit_fraction = fraction;
+      core::with_storage_type(dtype, [&](auto tag) {
+        using T = typename decltype(tag)::type;
+        const auto inputs = core::build_inputs<T>(spec, dtype, 64, 0xF14Au);
+        SCOPED_TRACE(std::string(name(dtype)) + " " +
+                     std::to_string(fraction));
+        expect_storage_scans_match_raw_bits(inputs.a, inputs.b,
+                                            bit_width(dtype));
+      });
+    }
+  }
+}
+
+TEST(BitsDispatchParity, StorageScansMatchRawBitsOnSignedZeros) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> a{0.0f, -0.0f, 0.0f, -0.0f, 1.0f, -1.0f, nan, 0.0f};
+  const std::vector<float> b{0.0f, 0.0f, -0.0f, -0.0f, -0.0f, 0.0f, -0.0f, nan};
+  for (const DType dtype : kAllDTypes) {
+    core::with_storage_type(dtype, [&](auto tag) {
+      using T = typename decltype(tag)::type;
+      SCOPED_TRACE(name(dtype));
+      expect_storage_scans_match_raw_bits(gemm::materialize<T>(a, 2, 4),
+                                          gemm::materialize<T>(b, 2, 4),
+                                          bit_width(dtype));
+    });
+  }
 }
 
 }  // namespace
