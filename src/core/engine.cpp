@@ -93,8 +93,8 @@ struct EngineState {
   /// Unused when the cache is disabled (a cache-less engine recomputes by
   /// contract).
   ActivityMemoTable activity_memo;
-  /// Value stream -> FP32 values, read by the activity memo's input
-  /// builds.  Cleared whenever `outstanding` drops to zero.
+  /// Value streams, standard normals and rankings, read by the activity
+  /// memo's input builds.  Cleared whenever `outstanding` drops to zero.
   ValuesMemoTable values_memo;
 
   /// The persistent store, when one is attached AND the cache is enabled
@@ -538,7 +538,7 @@ EngineStats ExperimentEngine::stats() const {
   EngineStats stats = state_->stats;
   stats.replicas_run = 0;
   stats.store_writes = 0;
-  stats.values_memo_bytes = state_->values_memo.held_cost();
+  stats.values_memo_bytes = state_->values_memo.held_bytes();
   for (std::size_t k = 0; k < kScenarioKindCount; ++k) {
     EngineKindStats& kind = stats.by_kind[k];
     kind.replicas_run = state_->replicas_run[k].load(std::memory_order_relaxed);
@@ -550,11 +550,19 @@ EngineStats ExperimentEngine::stats() const {
     kind.activity_memo_misses =
         state_->activity_memo.misses(kAllScenarioKinds[k]);
     stats.activity_memo_misses += kind.activity_memo_misses;
-    kind.values_memo_hits = state_->values_memo.hits(kAllScenarioKinds[k]);
+    const ValuesMemoTable& values = state_->values_memo;
+    kind.values_memo_hits = values.streams.hits(kAllScenarioKinds[k]);
     stats.values_memo_hits += kind.values_memo_hits;
-    kind.values_memo_misses =
-        state_->values_memo.misses(kAllScenarioKinds[k]);
+    kind.values_memo_misses = values.streams.misses(kAllScenarioKinds[k]);
     stats.values_memo_misses += kind.values_memo_misses;
+    kind.normals_memo_hits = values.normals.hits(kAllScenarioKinds[k]);
+    stats.normals_memo_hits += kind.normals_memo_hits;
+    kind.normals_memo_misses = values.normals.misses(kAllScenarioKinds[k]);
+    stats.normals_memo_misses += kind.normals_memo_misses;
+    kind.rank_memo_hits = values.ranks.hits(kAllScenarioKinds[k]);
+    stats.rank_memo_hits += kind.rank_memo_hits;
+    kind.rank_memo_misses = values.ranks.misses(kAllScenarioKinds[k]);
+    stats.rank_memo_misses += kind.rank_memo_misses;
 
     kind.compute_seconds =
         static_cast<double>(
@@ -659,6 +667,14 @@ analysis::JsonValue kind_stats_json(const EngineKindStats& k) {
           JsonValue::integer(static_cast<long long>(k.values_memo_hits)));
   out.set("values_memo_misses",
           JsonValue::integer(static_cast<long long>(k.values_memo_misses)));
+  out.set("normals_memo_hits",
+          JsonValue::integer(static_cast<long long>(k.normals_memo_hits)));
+  out.set("normals_memo_misses",
+          JsonValue::integer(static_cast<long long>(k.normals_memo_misses)));
+  out.set("rank_memo_hits",
+          JsonValue::integer(static_cast<long long>(k.rank_memo_hits)));
+  out.set("rank_memo_misses",
+          JsonValue::integer(static_cast<long long>(k.rank_memo_misses)));
   // Hit ratio of the lookups that reached the store: every store consult
   // either hits or falls through to a compute.
   const double lookups =
@@ -692,6 +708,10 @@ analysis::JsonValue engine_stats_json(const EngineStats& stats, int workers) {
   total.activity_memo_misses = stats.activity_memo_misses;
   total.values_memo_hits = stats.values_memo_hits;
   total.values_memo_misses = stats.values_memo_misses;
+  total.normals_memo_hits = stats.normals_memo_hits;
+  total.normals_memo_misses = stats.normals_memo_misses;
+  total.rank_memo_hits = stats.rank_memo_hits;
+  total.rank_memo_misses = stats.rank_memo_misses;
   total.compute_seconds = stats.compute_seconds;
   total.queue_wait_seconds = stats.queue_wait_seconds;
   total.reduce_seconds = stats.reduce_seconds;

@@ -40,9 +40,12 @@
 //  - The memo's input builds draw their FP32 value streams from the
 //    engine's ValuesMemoTable (core/values_memo.hpp): working points that
 //    differ only in dtype, placement, sparsity or bit op generate their A
-//    and B streams once.  It keeps at most kValuesMemoBudgetBytes of
-//    completed streams and drops them whenever the queue drains, so an
-//    idle engine holds no stream bytes.
+//    and B streams once, scale one draw's standard normals to every
+//    further mean and sigma, and rank each stream once for every sort
+//    level.  Its tables keep at most kValuesMemoBudgetBytes of streams,
+//    kNormalsMemoBudgetBytes of normals and kRankMemoBudgetBytes of
+//    rankings, and drop them whenever the queue drains, so an idle
+//    engine holds no stream bytes.
 #pragma once
 
 #include <cstdint>
@@ -107,6 +110,15 @@ struct EngineKindStats {
   /// engine's values memo (waits included) / that generated the stream.
   std::uint64_t values_memo_hits = 0;
   std::uint64_t values_memo_misses = 0;
+  /// Standard-normal lookups of stream misses whose (count, seed) draw
+  /// was requested before, served by the memo (waits included) / that
+  /// drew the normals.
+  std::uint64_t normals_memo_hits = 0;
+  std::uint64_t normals_memo_misses = 0;
+  /// Ranking lookups of this kind's placements served by the memo (waits
+  /// included) / that ranked the stream.
+  std::uint64_t rank_memo_hits = 0;
+  std::uint64_t rank_memo_misses = 0;
 
   double compute_seconds = 0.0;      ///< replica hook time, summed per task
   double queue_wait_seconds = 0.0;   ///< enqueue -> worker-pickup, per task
@@ -126,8 +138,12 @@ struct EngineStats {
   std::uint64_t activity_memo_misses = 0;
   std::uint64_t values_memo_hits = 0;
   std::uint64_t values_memo_misses = 0;
-  /// Completed stream bytes the values memo holds now: 0 whenever the
-  /// engine is idle.
+  std::uint64_t normals_memo_hits = 0;
+  std::uint64_t normals_memo_misses = 0;
+  std::uint64_t rank_memo_hits = 0;
+  std::uint64_t rank_memo_misses = 0;
+  /// Completed bytes the values memo's stream, normals and ranking tables
+  /// hold now: 0 whenever the engine is idle.
   std::uint64_t values_memo_bytes = 0;
 
   double compute_seconds = 0.0;      ///< sums of the per-kind timings below

@@ -38,17 +38,21 @@ struct StagedValues {
     return shared ? std::span<const float>(*shared)
                   : std::span<const float>(own);
   }
+  /// The private buffer, copied from the shared stream if there is one.
+  std::vector<float>& make_own() {
+    if (shared) {
+      own.assign(shared->begin(), shared->end());
+      shared.reset();
+    }
+    return own;
+  }
 };
 
 /// Constant fills bypass the memo: their generate is one draw and a fill.
-StagedValues stage_values(const ValueStream& stream, bool mutates,
-                          const ValuesMemo* memo) {
+StagedValues stage_values(const ValueStream& stream, const ValuesMemo* memo) {
   StagedValues staged;
   if (memo == nullptr || stream.value == PatternSpec::Value::kConstant) {
     staged.own = stream.generate();
-  } else if (mutates) {
-    const SharedValues values = memo->get(stream);
-    staged.own.assign(values->begin(), values->end());
   } else {
     staged.shared = memo->get(stream);
   }
@@ -66,24 +70,46 @@ gemm::Matrix<T> materialize_staged(StagedValues& staged, std::size_t n) {
   return gemm::materialize<T>(staged.view(), n, n);
 }
 
-void apply_placement(const PatternSpec& spec, std::vector<float>& data,
-                     std::size_t n) {
-  switch (spec.place) {
-    case PatternSpec::Place::kNone:
-      break;
-    case PatternSpec::Place::kSortRows:
-      patterns::partial_sort_rows(data, n, n, spec.sort_percent);
-      break;
+patterns::Traversal traversal_of(PatternSpec::Place place) noexcept {
+  switch (place) {
     case PatternSpec::Place::kSortColumns:
-      patterns::partial_sort_columns(data, n, n, spec.sort_percent);
-      break;
+      return patterns::Traversal::kColumns;
     case PatternSpec::Place::kSortWithinRows:
-      patterns::partial_sort_within_rows(data, n, n, spec.sort_percent);
-      break;
+      return patterns::Traversal::kWithinRows;
+    case PatternSpec::Place::kNone:
+    case PatternSpec::Place::kSortRows:
     case PatternSpec::Place::kFullSort:
-      patterns::full_sort(data);
       break;
   }
+  return patterns::Traversal::kRows;
+}
+
+/// Places the staged values into a new private buffer
+/// (patterns/placement.hpp).  A shared stream's ranking comes through the
+/// memo, so every sort level of one stream ranks it once; sorting 0% is
+/// the identity and ranks nothing.
+void apply_placement(const PatternSpec& spec, const ValueStream& stream,
+                     StagedValues& staged, std::size_t n,
+                     const ValuesMemo* memo) {
+  if (spec.place == PatternSpec::Place::kNone) return;
+  const patterns::Traversal traversal = traversal_of(spec.place);
+  const double percent =
+      spec.place == PatternSpec::Place::kFullSort ? 100.0 : spec.sort_percent;
+  const std::size_t k = patterns::sorted_count(traversal, n, n, percent);
+  if (k == 0) return;
+  const std::span<const float> values = staged.view();
+  SharedRanking shared_ranking;
+  patterns::Ranking own_ranking;
+  if (staged.shared) {
+    shared_ranking = memo->ranking(stream, values, n, n, traversal);
+  } else {
+    own_ranking = patterns::rank(values, n, n, traversal);
+  }
+  std::vector<float> placed(n * n);
+  patterns::apply_ranking(values, shared_ranking ? *shared_ranking : own_ranking,
+                          n, n, traversal, k, placed);
+  staged.own = std::move(placed);
+  staged.shared.reset();
 }
 
 template <typename T>
@@ -131,32 +157,32 @@ ExperimentInputs<T> build_inputs(const PatternSpec& spec,
                                   : spec.sigma * range_scale;
   stream.set_size = spec.set_size;
   stream.count = n * n;
-  const bool mutates =
-      spec.place != PatternSpec::Place::kNone || spec.sparsity > 0.0;
 
   // One span per stage under inputs.build, so a trace attributes the
   // whole input build.  With tracing off each costs one flag check.
   const obs::Span build("inputs.build");
+  ValueStream a_stream = stream;
+  a_stream.seed = patterns::derive_seed(seed, kStreamA);
+  ValueStream b_stream = stream;
+  b_stream.seed = patterns::derive_seed(seed, kStreamB);
   StagedValues a_vals;
   StagedValues b_vals;
   {
     const obs::Span stage("inputs.generate");
-    stream.seed = patterns::derive_seed(seed, kStreamA);
-    a_vals = stage_values(stream, mutates, memo);
-    stream.seed = patterns::derive_seed(seed, kStreamB);
-    b_vals = stage_values(stream, mutates, memo);
+    a_vals = stage_values(a_stream, memo);
+    b_vals = stage_values(b_stream, memo);
   }
   {
     const obs::Span stage("inputs.place");
-    apply_placement(spec, a_vals.own, n);
-    apply_placement(spec, b_vals.own, n);
+    apply_placement(spec, a_stream, a_vals, n, memo);
+    apply_placement(spec, b_stream, b_vals, n, memo);
   }
   {
     const obs::Span stage("inputs.sparsify");
     if (spec.sparsity > 0.0) {
-      patterns::sparsify(a_vals.own, spec.sparsity,
+      patterns::sparsify(a_vals.make_own(), spec.sparsity,
                          patterns::derive_seed(seed, kStreamSparsityA));
-      patterns::sparsify(b_vals.own, spec.sparsity,
+      patterns::sparsify(b_vals.make_own(), spec.sparsity,
                          patterns::derive_seed(seed, kStreamSparsityB));
     }
   }

@@ -72,8 +72,9 @@ class ValuesMemo;
 /// streams derived from `seed` so they never share randomness.  With a
 /// non-null `memo` the Gaussian and value-set streams come through it
 /// (core/values_memo.hpp), bit-identically: a pattern that neither places
-/// nor sparsifies converts the shared values in place, and only patterns
-/// that mutate the values copy them.
+/// nor sparsifies converts the shared values in place, a placement writes
+/// the shared values into a private buffer by the stream's memoised
+/// ranking, and sparsity copies them.
 template <typename T>
 [[nodiscard]] ExperimentInputs<T> build_inputs(
     const PatternSpec& spec, gpupower::numeric::DType dtype, std::size_t n,

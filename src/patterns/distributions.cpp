@@ -14,6 +14,22 @@ std::vector<float> gaussian_fill(std::size_t count, double mean, double stddev,
   return out;
 }
 
+std::vector<double> standard_normals(std::size_t count, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<double> out(count);
+  for (auto& v : out) v = rng.gaussian();
+  return out;
+}
+
+std::vector<float> scale_normals(std::span<const double> normals, double mean,
+                                 double stddev) {
+  std::vector<float> out(normals.size());
+  for (std::size_t i = 0; i < normals.size(); ++i) {
+    out[i] = static_cast<float>(scale_normal(normals[i], mean, stddev));
+  }
+  return out;
+}
+
 std::vector<float> value_set_fill(std::size_t count, std::size_t set_size,
                                   double mean, double stddev,
                                   std::uint64_t seed) {

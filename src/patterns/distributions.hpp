@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "patterns/rng.hpp"
@@ -14,6 +15,17 @@ namespace gpupower::patterns {
 /// Gaussian(mean, stddev) fill — Figs. 2, 3a (sweep stddev), 3b (sweep mean).
 [[nodiscard]] std::vector<float> gaussian_fill(std::size_t count, double mean,
                                                double stddev, std::uint64_t seed);
+
+/// The standard normals behind gaussian_fill(count, mean, stddev, seed):
+/// its value i is float(scale_normal(normals[i], mean, stddev)) for every
+/// mean and stddev.
+[[nodiscard]] std::vector<double> standard_normals(std::size_t count,
+                                                   std::uint64_t seed);
+
+/// gaussian_fill(normals.size(), mean, stddev, seed), bit for bit, from
+/// standard_normals(normals.size(), seed).
+[[nodiscard]] std::vector<float> scale_normals(std::span<const double> normals,
+                                               double mean, double stddev);
 
 /// "Inputs from a set" (Fig. 3c): draw `set_size` Gaussian values once, then
 /// fill the buffer by sampling uniformly with replacement from that set.

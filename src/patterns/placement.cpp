@@ -24,27 +24,20 @@ std::uint32_t order_key(float value) noexcept {
 }
 
 /// One element of a logical buffer: its value's order key and its
-/// position.
+/// storage offset.
 struct Ranked {
   std::uint32_t key;
   std::uint32_t pos;
 };
 
-/// 32-bit positions cover every buffer up to kMaxN^2 = 2^32 elements.
+/// 32-bit offsets cover every buffer up to kMaxN^2 = 2^32 elements.
 constexpr std::uint64_t kMaxRankedElements = std::uint64_t{1} << 32;
 
-/// Buffers reused across the logical buffers of one call (the rows of
-/// partial_sort_within_rows).
-struct RankScratch {
-  std::vector<Ranked> ranked;
-  std::vector<Ranked> spare;
-  std::vector<float> lowest;
-  std::vector<bool> taken;
-};
-
 /// Stable LSD radix sort by key, three passes of 11-bit digits: equal keys
-/// keep their input order.
-void radix_sort_by_key(std::vector<Ranked>& ranked, std::vector<Ranked>& spare) {
+/// keep their input order.  The last pass writes the sorted positions
+/// alone to `out`.
+void radix_rank(std::vector<Ranked>& ranked, std::vector<Ranked>& spare,
+                std::uint32_t* out) {
   constexpr int kDigitBits = 11;
   constexpr std::uint32_t kDigitMask = (1u << kDigitBits) - 1;
   spare.resize(ranked.size());
@@ -53,6 +46,12 @@ void radix_sort_by_key(std::vector<Ranked>& ranked, std::vector<Ranked>& spare) 
     for (const Ranked& r : ranked) ++start[(r.key >> shift) & kDigitMask];
     std::size_t sum = 0;
     for (std::size_t& s : start) sum += std::exchange(s, sum);
+    if (shift + kDigitBits >= 32) {
+      for (const Ranked& r : ranked) {
+        out[start[(r.key >> shift) & kDigitMask]++] = r.pos;
+      }
+      return;
+    }
     for (const Ranked& r : ranked) {
       spare[start[(r.key >> shift) & kDigitMask]++] = r;
     }
@@ -60,93 +59,159 @@ void radix_sort_by_key(std::vector<Ranked>& ranked, std::vector<Ranked>& spare) 
   }
 }
 
-std::size_t sorted_count(std::size_t n, double percent) {
-  return static_cast<std::size_t>(std::llround(
-      std::clamp(percent, 0.0, 100.0) / 100.0 * static_cast<double>(n)));
-}
+/// Storage offsets of a logical buffer's slots in traversal order:
+/// row-major, or column-major over a rows x cols matrix.
+class SlotCursor {
+ public:
+  SlotCursor(std::size_t rows, std::size_t cols, bool column_major) noexcept
+      : rows_(rows), cols_(cols), column_major_(column_major) {}
 
-/// The paper's partial-sort rule over one contiguous logical buffer: the k
-/// smallest values, ascending, fill the first k slots; every other value
-/// keeps its original relative order behind them.  Ranking (value,
-/// position) pairs in position order with a stable sort on value orders
-/// ties, -0 against +0 included, by position.
-void partial_sort_logical(std::span<float> v, std::size_t k,
-                          RankScratch& scratch) {
-  const std::size_t n = v.size();
-  if (k == 0) return;
-  if (n > kMaxRankedElements) {
-    throw std::length_error("partial sort: buffer exceeds 2^32 elements");
+  std::size_t next() noexcept {
+    if (!column_major_) return row_++;
+    const std::size_t at = row_ * cols_ + col_;
+    if (++row_ == rows_) {
+      row_ = 0;
+      ++col_;
+    }
+    return at;
   }
-  auto& ranked = scratch.ranked;
-  ranked.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ranked[i] = Ranked{order_key(v[i]), static_cast<std::uint32_t>(i)};
-  }
-  radix_sort_by_key(ranked, scratch.spare);
 
-  auto& lowest = scratch.lowest;
-  auto& taken = scratch.taken;
-  lowest.resize(k);
-  taken.assign(n, false);
+ private:
+  std::size_t rows_;
+  std::size_t cols_;
+  bool column_major_;
+  std::size_t row_ = 0;  ///< the flat offset when row-major
+  std::size_t col_ = 0;
+};
+
+/// The paper's rule over one logical buffer of order.size() values: the k
+/// values `order` ranks lowest fill the first k slots of `dst`, ascending,
+/// and every value not taken follows in traversal order.
+void place_buffer(const float* src, std::span<const std::uint32_t> order,
+                  std::size_t k, SlotCursor slots, float* dst,
+                  std::vector<unsigned char>& taken) {
+  const std::size_t n = order.size();
+  SlotCursor writes = slots;
+  if (k >= n) {
+    for (const std::uint32_t at : order) dst[writes.next()] = src[at];
+    return;
+  }
+  taken.assign(n, 0);
   for (std::size_t i = 0; i < k; ++i) {
-    lowest[i] = v[ranked[i].pos];
-    taken[ranked[i].pos] = true;
+    const std::uint32_t at = order[i];
+    dst[writes.next()] = src[at];
+    taken[at] = 1;
   }
-  // Stable back-to-front compaction of the values not taken into slots
-  // [k, n).  The write cursor never falls below the read cursor, so it
-  // runs in place.
-  std::size_t w = n;
-  for (std::size_t i = n; i-- > 0;) {
-    if (!taken[i]) v[--w] = v[i];
+  SlotCursor reads = slots;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t at = reads.next();
+    if (taken[at] == 0) dst[writes.next()] = src[at];
   }
-  std::copy(lowest.begin(), lowest.end(), v.begin());
 }
 
-void partial_sort_contiguous(std::span<float> v, double percent) {
-  RankScratch scratch;
-  partial_sort_logical(v, sorted_count(v.size(), percent), scratch);
+/// rank() then apply_ranking() over `data` itself, from a copy.
+void sort_in_place(std::span<float> data, std::size_t rows, std::size_t cols,
+                   Traversal traversal, double percent) {
+  const std::size_t k = sorted_count(traversal, rows, cols, percent);
+  if (k == 0) return;
+  const Ranking ranking = rank(data, rows, cols, traversal);
+  const std::span<float> matrix = data.first(rows * cols);
+  const std::vector<float> src(matrix.begin(), matrix.end());
+  apply_ranking(src, ranking, rows, cols, traversal, k, matrix);
 }
 
 }  // namespace
 
+Ranking rank(std::span<const float> data, std::size_t rows, std::size_t cols,
+             Traversal traversal) {
+  const std::size_t n = rows * cols;
+  if (n > kMaxRankedElements) {
+    throw std::length_error("placement: traversal exceeds 2^32 elements");
+  }
+  Ranking ranking(n);
+  std::vector<Ranked> ranked;
+  std::vector<Ranked> spare;
+  switch (traversal) {
+    case Traversal::kRows:
+      ranked.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ranked[i] = Ranked{order_key(data[i]), static_cast<std::uint32_t>(i)};
+      }
+      radix_rank(ranked, spare, ranking.data());
+      break;
+    case Traversal::kColumns: {
+      ranked.resize(n);
+      std::size_t i = 0;
+      for (std::size_t c = 0; c < cols; ++c) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          const std::size_t at = r * cols + c;
+          ranked[i++] =
+              Ranked{order_key(data[at]), static_cast<std::uint32_t>(at)};
+        }
+      }
+      radix_rank(ranked, spare, ranking.data());
+      break;
+    }
+    case Traversal::kWithinRows:
+      for (std::size_t r = 0; r < rows; ++r) {
+        ranked.resize(cols);
+        const std::span<const float> row = data.subspan(r * cols, cols);
+        for (std::size_t c = 0; c < cols; ++c) {
+          ranked[c] = Ranked{order_key(row[c]), static_cast<std::uint32_t>(c)};
+        }
+        radix_rank(ranked, spare, ranking.data() + r * cols);
+      }
+      break;
+  }
+  return ranking;
+}
+
+std::size_t sorted_count(Traversal traversal, std::size_t rows,
+                         std::size_t cols, double percent) {
+  const std::size_t n =
+      traversal == Traversal::kWithinRows ? cols : rows * cols;
+  return static_cast<std::size_t>(std::llround(
+      std::clamp(percent, 0.0, 100.0) / 100.0 * static_cast<double>(n)));
+}
+
+void apply_ranking(std::span<const float> src,
+                   std::span<const std::uint32_t> ranking, std::size_t rows,
+                   std::size_t cols, Traversal traversal, std::size_t k,
+                   std::span<float> dst) {
+  std::vector<unsigned char> taken;
+  if (traversal != Traversal::kWithinRows) {
+    place_buffer(src.data(), ranking.first(rows * cols), k,
+                 SlotCursor(rows, cols, traversal == Traversal::kColumns),
+                 dst.data(), taken);
+    return;
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    place_buffer(src.data() + r * cols, ranking.subspan(r * cols, cols), k,
+                 SlotCursor(1, cols, false), dst.data() + r * cols, taken);
+  }
+}
+
 void partial_sort_flat(std::vector<float>& data, double percent) {
-  partial_sort_contiguous(data, percent);
+  sort_in_place(data, 1, data.size(), Traversal::kRows, percent);
 }
 
 void partial_sort_rows(std::vector<float>& data, std::size_t rows,
                        std::size_t cols, double percent) {
-  partial_sort_contiguous(std::span<float>(data).first(rows * cols), percent);
+  sort_in_place(data, rows, cols, Traversal::kRows, percent);
 }
 
 void partial_sort_columns(std::vector<float>& data, std::size_t rows,
                           std::size_t cols, double percent) {
-  if (sorted_count(rows * cols, percent) == 0) return;
-  std::vector<float> column_major(rows * cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      column_major[c * rows + r] = data[r * cols + c];
-    }
-  }
-  partial_sort_contiguous(column_major, percent);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      data[r * cols + c] = column_major[c * rows + r];
-    }
-  }
+  sort_in_place(data, rows, cols, Traversal::kColumns, percent);
 }
 
 void partial_sort_within_rows(std::vector<float>& data, std::size_t rows,
                               std::size_t cols, double percent) {
-  const std::size_t k = sorted_count(cols, percent);
-  RankScratch scratch;
-  for (std::size_t r = 0; r < rows; ++r) {
-    partial_sort_logical(std::span<float>(data).subspan(r * cols, cols), k,
-                         scratch);
-  }
+  sort_in_place(data, rows, cols, Traversal::kWithinRows, percent);
 }
 
 void full_sort(std::vector<float>& data) {
-  std::sort(data.begin(), data.end());
+  sort_in_place(data, 1, data.size(), Traversal::kRows, 100.0);
 }
 
 void sort_rows_by_mean(std::vector<float>& data, std::size_t rows,

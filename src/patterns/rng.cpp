@@ -29,10 +29,6 @@ double Xoshiro256::gaussian() noexcept {
   return r * std::cos(theta);
 }
 
-double Xoshiro256::gaussian(double mean, double stddev) noexcept {
-  return mean + stddev * gaussian();
-}
-
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream) noexcept {
   SplitMix64 sm(base ^ (0xA5A5A5A55A5A5A5Aull + stream * 0x9E3779B97F4A7C15ull));
   sm.next();

@@ -13,6 +13,16 @@
 
 namespace gpupower::patterns {
 
+/// The one expression behind every Gaussian value the simulator draws:
+/// `mean + stddev * standard`.  Xoshiro256::gaussian(mean, stddev),
+/// gaussian_fill and the scaling of shared standard normals
+/// (distributions.hpp) all go through it, so a value is the same bytes
+/// whether it is drawn directly or scaled from a stored standard normal.
+[[nodiscard]] constexpr double scale_normal(double standard, double mean,
+                                            double stddev) noexcept {
+  return mean + stddev * standard;
+}
+
 /// SplitMix64: used to expand a single seed into engine state (the
 /// initialisation recommended by the xoshiro authors).
 class SplitMix64 {
@@ -87,7 +97,9 @@ class Xoshiro256 {
   double gaussian() noexcept;
 
   /// Normal with the given mean and standard deviation.
-  double gaussian(double mean, double stddev) noexcept;
+  double gaussian(double mean, double stddev) noexcept {
+    return scale_normal(gaussian(), mean, stddev);
+  }
 
  private:
   std::uint64_t s_[4];

@@ -245,6 +245,61 @@ TEST(PlacementParity, MatchesStableSortOracleNonSquare) {
   expect_parity(48, 3);
 }
 
+TEST(PlacementParity, OneRankingAppliedAtEveryPercent) {
+  // The memoised path: a shared buffer ranked once per traversal, then
+  // applied into a separate buffer at every sort level.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {7, 7}, {64, 64}, {5, 37}, {48, 3}};
+  for (const auto& [rows, cols] : shapes) {
+    for (const auto& [kind, values] : parity_inputs(rows * cols)) {
+      const Ranking by_rows = rank(values, rows, cols, Traversal::kRows);
+      const Ranking by_columns = rank(values, rows, cols, Traversal::kColumns);
+      const Ranking within = rank(values, rows, cols, Traversal::kWithinRows);
+      for (const double pct : kParityPercents) {
+        const std::string where = kind + " " + std::to_string(rows) + "x" +
+                                  std::to_string(cols) + " " +
+                                  std::to_string(pct) + "%";
+        std::vector<float> got(values.size());
+
+        auto want = values;
+        oracle_partial_sort(want, row_major(rows, cols), pct);
+        apply_ranking(values, by_rows, rows, cols, Traversal::kRows,
+                      sorted_count(Traversal::kRows, rows, cols, pct), got);
+        EXPECT_TRUE(same_bytes(got, want)) << "rows " << where;
+
+        want = values;
+        oracle_partial_sort(want, column_major(rows, cols), pct);
+        apply_ranking(values, by_columns, rows, cols, Traversal::kColumns,
+                      sorted_count(Traversal::kColumns, rows, cols, pct), got);
+        EXPECT_TRUE(same_bytes(got, want)) << "columns " << where;
+
+        want = values;
+        oracle_within_rows(want, rows, cols, pct);
+        apply_ranking(values, within, rows, cols, Traversal::kWithinRows,
+                      sorted_count(Traversal::kWithinRows, rows, cols, pct),
+                      got);
+        EXPECT_TRUE(same_bytes(got, want)) << "within_rows " << where;
+      }
+    }
+  }
+}
+
+TEST(PlacementParity, FullSortIsStable) {
+  // -0 and +0 compare equal, so a stable sort keeps them in input order
+  // (std::sort promises nothing there).
+  for (const auto& [kind, values] : parity_inputs(1000)) {
+    auto want = values;
+    std::stable_sort(want.begin(), want.end());
+    auto got = values;
+    full_sort(got);
+    EXPECT_TRUE(same_bytes(got, want)) << kind;
+  }
+  std::vector<float> zeros{0.0f, -0.0f, 1.0f, -0.0f, 0.0f, -1.0f};
+  full_sort(zeros);
+  const std::vector<float> want{-1.0f, 0.0f, -0.0f, -0.0f, 0.0f, 1.0f};
+  EXPECT_TRUE(same_bytes(zeros, want));
+}
+
 class PlacementPercentSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(PlacementPercentSweep, PrefixSortedInvariant) {
