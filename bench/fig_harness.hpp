@@ -1,24 +1,18 @@
-// Shared harness for the figure-regeneration benches: one bench binary per
-// paper figure, each printing the figure's series (power in watts per sweep
-// point, one column per datatype) exactly as the paper plots them.
-//
-// The harness runs on the ExperimentEngine: every (sweep point x datatype)
-// cell is submitted up front, fans out across the worker pool, and shared
-// points (e.g. the baseline column that several figures repeat) are served
-// from the engine cache.  Results are bit-identical to the serial path.
+// Shared helpers for the bench binaries that are not plain figure sweeps
+// (Figs. 1, 2, 7, 8 and the ablations): the protocol preamble, an engine
+// with metrics armed, and a figure sweep submitted over a base config.
+// The Figs. 3-6 sweeps themselves are the campaign nodes of
+// examples/specs/paper_figures.json, run with `gpowerctl run`.
 //
 // Environment knobs (see core/env.hpp): GPUPOWER_N, GPUPOWER_SEEDS,
-// GPUPOWER_TILES, GPUPOWER_KFRAC, GPUPOWER_WORKERS, GPUPOWER_CSV.  Defaults
-// favour CI speed; GPUPOWER_N=2048 GPUPOWER_SEEDS=10 reproduces the paper's
-// protocol.
+// GPUPOWER_TILES, GPUPOWER_KFRAC, GPUPOWER_WORKERS.  Defaults favour CI
+// speed; GPUPOWER_N=2048 GPUPOWER_SEEDS=10 reproduces the paper's protocol.
 #pragma once
 
 #include <cstdio>
-#include <iostream>
 #include <string>
 #include <vector>
 
-#include "analysis/table.hpp"
 #include "core/config_builder.hpp"
 #include "core/engine.hpp"
 #include "core/env.hpp"
@@ -69,50 +63,6 @@ inline std::vector<core::ScenarioHandle> submit_figure(
     handles.push_back(engine.submit(config));
   }
   return handles;
-}
-
-/// Runs a figure's sweep for all four datatypes through the engine and
-/// prints the series table.  Returns the process exit code.
-inline int run_figure(core::FigureId id) {
-  // One span over the whole figure (submit fan-out through table print):
-  // with GPUPOWER_TRACE set the per-scenario engine spans nest under it.
-  core::obs::Span figure_span("bench.figure");
-  const core::BenchEnv env = core::read_bench_env();
-  print_preamble(env, core::figure_name(id));
-
-  core::ExperimentEngine engine = make_engine(env);
-
-  // One sweep per datatype, all in flight at once.
-  std::vector<std::vector<core::ScenarioHandle>> runs;
-  for (const auto dtype : numeric::kAllDTypes) {
-    runs.push_back(submit_figure(
-        engine, id,
-        core::ExperimentConfigBuilder().dtype(dtype).env(env).build()));
-  }
-  engine.wait_all();
-
-  std::vector<std::string> headers{std::string(core::figure_axis(id))};
-  for (const auto dtype : numeric::kAllDTypes) {
-    headers.push_back(std::string(numeric::name(dtype)) + " (W)");
-  }
-  analysis::Table table(std::move(headers));
-
-  const std::vector<core::SweepPoint> points = core::figure_sweep(id);
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    std::vector<double> row;
-    for (const auto& handles : runs) {
-      row.push_back(handles[p].get().static_result().power_w);
-    }
-    table.add_row(points[p].label, row, 1);
-  }
-
-  table.print(std::cout);
-  if (env.csv) {
-    std::printf("\nCSV:\n");
-    table.print_csv(std::cout);
-  }
-  print_engine_stats(engine);
-  return 0;
 }
 
 }  // namespace gpupower::bench

@@ -170,9 +170,8 @@ class FleetConfigBuilder {
   /// `timeline` delayed by i * stagger_s (an idle prefix) with priority
   /// count - i — the phase-shifted fleet shape where allocation policy
   /// actually matters (synchronised bursts degenerate every allocator to
-  /// uniform).  Shared by the spec "staggered" block and
-  /// `fig_fleet_capping` so specs and the committed benchmark mean the
-  /// same thing by "a staggered fleet".
+  /// uniform).  The spec "staggered" block expands through it, so specs
+  /// and C++ callers mean the same thing by "a staggered fleet".
   FleetConfigBuilder& add_staggered_devices(
       const gpupower::gpusim::dvfs::WorkloadTimeline& timeline, int count,
       double stagger_s, gpupower::gpusim::GpuModel gpu,

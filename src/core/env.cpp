@@ -96,7 +96,6 @@ BenchEnv read_bench_env() {
     std::string expect;
     if (!set_bench_knob(env, knob, raw, expect)) die(name, raw, expect.c_str());
   }
-  env.csv = std::getenv("GPUPOWER_CSV") != nullptr;
   return env;
 }
 

@@ -1,12 +1,12 @@
-// Environment-variable configuration shared by the bench binaries, so a
-// single knob set scales every figure harness between CI speed and
-// paper-fidelity runs:
+// Environment-variable configuration shared by the bench binaries, the
+// examples and gpowerctl's dmon/features/predict, so a single knob set
+// scales them between CI speed and paper-fidelity runs (a spec carries its
+// own experiment fields; only GPUPOWER_WORKERS applies to spec runs):
 //   GPUPOWER_N        matrix dimension (default 512; paper 2048)
 //   GPUPOWER_SEEDS    seeds per configuration (default 2; paper 10)
 //   GPUPOWER_TILES    sampled warp tiles, 0 = exact walk (default 12)
 //   GPUPOWER_KFRAC    fraction of K-slices walked (default 0.5)
 //   GPUPOWER_WORKERS  engine worker threads, 0 = hardware (default 0)
-//   GPUPOWER_CSV      when set, benches also print CSV blocks
 //
 // The persistent result store (core/store/) has its own knobs, shared by
 // gpowerctl's run and serve verbs:
@@ -41,7 +41,6 @@ struct BenchEnv {
   std::size_t tiles = 12;
   double k_fraction = 0.5;
   int workers = 0;  ///< ExperimentEngine pool size; 0 = hardware concurrency
-  bool csv = false;
 
   /// Applies the environment knobs onto an ExperimentConfig.
   void apply(ExperimentConfig& config) const {

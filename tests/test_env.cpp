@@ -15,7 +15,6 @@ class EnvGuard {
     unsetenv("GPUPOWER_TILES");
     unsetenv("GPUPOWER_KFRAC");
     unsetenv("GPUPOWER_WORKERS");
-    unsetenv("GPUPOWER_CSV");
   }
 };
 
@@ -27,7 +26,6 @@ TEST(BenchEnvTest, Defaults) {
   EXPECT_EQ(env.tiles, 12u);
   EXPECT_DOUBLE_EQ(env.k_fraction, 0.5);
   EXPECT_EQ(env.workers, 0);
-  EXPECT_FALSE(env.csv);
 }
 
 TEST(BenchEnvTest, ReadsOverrides) {
@@ -37,14 +35,12 @@ TEST(BenchEnvTest, ReadsOverrides) {
   setenv("GPUPOWER_TILES", "0", 1);
   setenv("GPUPOWER_KFRAC", "1.0", 1);
   setenv("GPUPOWER_WORKERS", "8", 1);
-  setenv("GPUPOWER_CSV", "1", 1);
   const BenchEnv env = read_bench_env();
   EXPECT_EQ(env.n, 2048u);
   EXPECT_EQ(env.seeds, 10);
   EXPECT_EQ(env.tiles, 0u);  // 0 = exact walk
   EXPECT_DOUBLE_EQ(env.k_fraction, 1.0);
   EXPECT_EQ(env.workers, 8);
-  EXPECT_TRUE(env.csv);
 }
 
 // A typo'd knob must fail loudly (one-line error, exit 2), never silently

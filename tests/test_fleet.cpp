@@ -3,7 +3,7 @@
 // throttle hysteresis without flapping), the single-device equivalence
 // guarantee (fleet of one, infinite cap, thermal off == the dvfs scenario
 // bit for bit), determinism through the engine at different worker counts, and
-// the capped-fleet behaviours the fig_fleet_capping bench sweeps.
+// the capped-fleet behaviours examples/specs/fleet_capping.json sweeps.
 #include "gpusim/fleet/fleet.hpp"
 
 #include <gtest/gtest.h>

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -21,6 +22,8 @@
 
 #include "core/config_builder.hpp"
 #include "core/engine.hpp"
+#include "core/env.hpp"
+#include "core/figures.hpp"
 #include "core/pattern_dsl.hpp"
 #include "core/scenario.hpp"
 
@@ -638,6 +641,86 @@ TEST(Spec, CampaignPointsPatchLikeAFreshBase) {
             canonical_scenario_key(points[2].config));
   EXPECT_EQ(points[3].config.dvfs().governor.policy,
             gpupower::gpusim::dvfs::GovernorConfig::Policy::kFixed);
+}
+
+// --- figure axis -----------------------------------------------------------
+
+// The paper-figure campaign shape of examples/specs/paper_figures.json: a
+// figure axis over the pattern, then a dtype axis, on an A100 base at the
+// BenchEnv defaults.
+constexpr const char* kFigureDTypes[] = {"fp32", "fp16", "fp16t", "int8"};
+
+std::string figure_campaign(std::string_view axis) {
+  return R"json({
+    "scenario": "campaign",
+    "base": {
+      "scenario": "static",
+      "experiment": {"gpu": "a100", "n": 512, "seeds": 2,
+                     "sampling": {"tiles": 12, "k_fraction": 0.5}}
+    },
+    "axes": [
+      )json" + std::string(axis) + R"json(,
+      {"field": "experiment.dtype",
+       "values": ["fp32", "fp16", "fp16t", "int8"]}
+    ]
+  })json";
+}
+
+TEST(Spec, FigureAxisExpandsEverySweepTimesEveryDtype) {
+  for (const FigureId id : kAllFigures) {
+    SCOPED_TRACE(std::string(figure_key(id)));
+    const SpecParseResult parsed = parse_scenario_spec_text(figure_campaign(
+        R"({"field": "experiment.pattern", "figure": ")" +
+        std::string(figure_key(id)) + R"("})"));
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    std::vector<CampaignPoint> points;
+    std::string error;
+    ASSERT_TRUE(expand_campaign(parsed.spec, points, error)) << error;
+    const std::vector<SweepPoint> sweep = figure_sweep(id);
+    constexpr std::size_t kDTypes = std::size(gpupower::numeric::kAllDTypes);
+    ASSERT_EQ(points.size(), sweep.size() * kDTypes);
+    for (std::size_t p = 0; p < sweep.size(); ++p) {
+      for (std::size_t d = 0; d < kDTypes; ++d) {
+        gpupower::numeric::DType dtype;
+        ASSERT_TRUE(gpupower::numeric::parse_dtype(kFigureDTypes[d], dtype));
+        ASSERT_EQ(dtype, gpupower::numeric::kAllDTypes[d]);
+        const CampaignPoint& point = points[p * kDTypes + d];
+        // Row-major: the figure axis varies slowest, in sweep order.
+        EXPECT_EQ(point.label,
+                  sweep[p].label + "@" + std::string(kFigureDTypes[d]));
+        EXPECT_EQ(canonical_dsl(point.config.experiment().pattern),
+                  canonical_dsl(sweep[p].spec));
+        // The same scenario a hand-built figure sweep submits.
+        const ExperimentConfig expected = ExperimentConfigBuilder()
+                                              .dtype(dtype)
+                                              .env(BenchEnv{})
+                                              .pattern(sweep[p].spec)
+                                              .build();
+        EXPECT_EQ(canonical_scenario_key(point.config),
+                  canonical_scenario_key(ScenarioConfig(expected)));
+      }
+    }
+  }
+}
+
+TEST(Spec, UnknownFigureIdFailsNamingTheAxis) {
+  const SpecParseResult parsed = parse_scenario_spec_text(figure_campaign(
+      R"({"field": "experiment.pattern", "figure": "fig9z"})"));
+  ASSERT_FALSE(parsed.ok);
+  EXPECT_NE(parsed.error.find("axes[0].figure"), std::string::npos)
+      << parsed.error;
+  EXPECT_NE(parsed.error.find("fig9z"), std::string::npos) << parsed.error;
+}
+
+TEST(Spec, FigureAxisWithValuesFails) {
+  const SpecParseResult parsed = parse_scenario_spec_text(figure_campaign(
+      R"json({"field": "experiment.pattern", "figure": "fig6a",
+              "values": ["gaussian()"]})json"));
+  ASSERT_FALSE(parsed.ok);
+  EXPECT_NE(parsed.error.find("axes[0]"), std::string::npos) << parsed.error;
+  EXPECT_NE(parsed.error.find("exactly one of 'values' or 'figure'"),
+            std::string::npos)
+      << parsed.error;
 }
 
 // --- scenario submission equivalences --------------------------------------

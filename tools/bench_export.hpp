@@ -79,7 +79,7 @@ struct CompareOptions {
   /// mean something between runs on the same machine, which the documents
   /// cannot prove — enable for local like-for-like comparisons.
   bool gate_walltime = false;
-  /// Gate "*_j" energies (e.g. the fig_fleet_capping summary).  On by
+  /// Gate "*_j" energies (e.g. the BENCH_fleet.json cases).  On by
   /// default: energies are deterministic model outputs, not timings, so on
   /// a matching protocol they gate *symmetrically* — movement in either
   /// direction beyond the tolerance means the model changed and the

@@ -151,10 +151,13 @@ int usage(const char* argv0) {
                "Perfetto) of the run\n"
                "  --metrics-out FILE  run: engine + obs metrics JSON after "
                "the spec completes\n"
+               "  --workers W --csv --json\n"
+               "dmon/features/predict only (a spec sets these fields "
+               "itself):\n"
                "  --gpu N          device index (see 'discovery'; default 0)\n"
                "  --dtype T        fp32 | fp16 | fp16t | int8 (default fp16)\n"
                "  --pattern DSL    e.g. \"gaussian(sigma=210) | sort_rows(40%%)\"\n"
-               "  --n SIZE --seeds K --tiles T --kfrac F --workers W --csv --json\n"
+               "  --n SIZE --seeds K --tiles T --kfrac F\n"
                "environment (strict; malformed values exit 2):\n"
                "  GPUPOWER_STORE_DIR  persistent result store for run/serve: "
                "completed\n"
@@ -170,7 +173,7 @@ int usage(const char* argv0) {
                "  GPUPOWER_METRICS    'on' | 'off' — arm the metrics "
                "registry without\n"
                "                      tracing\n"
-               "  GPUPOWER_N/SEEDS/TILES/KFRAC/WORKERS/CSV  see README\n",
+               "  GPUPOWER_N/SEEDS/TILES/KFRAC/WORKERS  see README\n",
                argv0);
   return 2;
 }
@@ -185,6 +188,19 @@ constexpr std::pair<std::string_view, core::BenchKnob> kKnobFlags[] = {
     {"--workers", core::BenchKnob::kWorkers},
 };
 
+/// The experiment flags of dmon/features/predict, each with the spec field
+/// that carries the same setting.  A spec sets these itself, so the spec
+/// verbs (run/validate/serve) reject them rather than ignore them.
+constexpr std::pair<std::string_view, std::string_view> kSpecFieldFlags[] = {
+    {"--n", "experiment.n"},
+    {"--seeds", "experiment.seeds"},
+    {"--tiles", "experiment.sampling.tiles"},
+    {"--kfrac", "experiment.sampling.k_fraction"},
+    {"--gpu", "experiment.gpu"},
+    {"--dtype", "experiment.dtype"},
+    {"--pattern", "experiment.pattern"},
+};
+
 bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
   if (argc < 2) {
     error = "missing command";
@@ -192,8 +208,21 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
   }
   opts.command = argv[1];
   opts.env = core::read_bench_env();
+  const bool spec_verb = opts.command == "run" ||
+                         opts.command == "validate" ||
+                         opts.command == "serve";
   for (int i = 2; i < argc; ++i) {
     const std::string_view flag = argv[i];
+    if (spec_verb) {
+      const auto* field = std::find_if(
+          std::begin(kSpecFieldFlags), std::end(kSpecFieldFlags),
+          [&](const auto& entry) { return entry.first == flag; });
+      if (field != std::end(kSpecFieldFlags)) {
+        error = std::string(flag) + " does not apply to " + opts.command +
+                ": set " + std::string(field->second) + " in the spec";
+        return false;
+      }
+    }
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
