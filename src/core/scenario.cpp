@@ -7,8 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/report.hpp"
-
 namespace gpupower::core {
 namespace {
 
@@ -48,11 +46,6 @@ ScenarioResult static_reduce(const ScenarioConfig& config,
                          take_replicas<SeedReplicaResult>(replicas));
 }
 
-analysis::JsonValue static_json(const ScenarioConfig& config,
-                                const ScenarioResult& result) {
-  return to_json(config.static_config(), result.static_result());
-}
-
 // --- DVFS hooks ------------------------------------------------------------
 
 std::string dvfs_validate(const ScenarioConfig& config) {
@@ -69,11 +62,6 @@ ScenarioResult dvfs_reduce(const ScenarioConfig& config,
   return reduce_dvfs_replicas(
       config.dvfs(),
       take_replicas<gpupower::gpusim::dvfs::ReplayResult>(replicas));
-}
-
-analysis::JsonValue dvfs_json(const ScenarioConfig& config,
-                              const ScenarioResult& result) {
-  return dvfs_to_json(config.dvfs(), result.dvfs());
 }
 
 // --- fleet hooks -----------------------------------------------------------
@@ -94,15 +82,9 @@ ScenarioResult fleet_reduce(const ScenarioConfig& config,
       take_replicas<gpupower::gpusim::fleet::FleetRun>(replicas));
 }
 
-analysis::JsonValue fleet_json(const ScenarioConfig& config,
-                               const ScenarioResult& result) {
-  return fleet_to_json(config.fleet(), result.fleet());
-}
-
 // --- full-fidelity result codecs (the store's value format) ----------------
 //
-// Unlike the display exporters above (which summarise and drop trace
-// columns), these serialise EVERY result field at round-trip precision —
+// These serialise EVERY result field at round-trip precision —
 // JsonValue emits doubles via shortest-round-trip to_chars and parses them
 // back with strtod, so dump+parse reproduces each result bit-identically.
 // Per-slice traces are stored columnar (one array per field) to keep the
@@ -565,11 +547,11 @@ bool fleet_result_parse(const JsonValue& doc, ScenarioResult& out,
 
 constexpr ScenarioKindInfo kRegistry[kScenarioKindCount] = {
     {ScenarioKind::kStatic, "static", &static_validate, &static_replica,
-     &static_reduce, &static_json, &static_result_json, &static_result_parse},
+     &static_reduce, &static_result_json, &static_result_parse},
     {ScenarioKind::kDvfs, "dvfs", &dvfs_validate, &dvfs_replica, &dvfs_reduce,
-     &dvfs_json, &dvfs_result_json, &dvfs_result_parse},
+     &dvfs_result_json, &dvfs_result_parse},
     {ScenarioKind::kFleet, "fleet", &fleet_validate, &fleet_replica,
-     &fleet_reduce, &fleet_json, &fleet_result_json, &fleet_result_parse},
+     &fleet_reduce, &fleet_result_json, &fleet_result_parse},
 };
 
 }  // namespace
@@ -662,11 +644,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     replicas.push_back(info.run_replica(config, s, nullptr));
   }
   return info.reduce(config, replicas);
-}
-
-analysis::JsonValue scenario_to_json(const ScenarioConfig& config,
-                                     const ScenarioResult& result) {
-  return scenario_kind_info(config.kind()).to_json(config, result);
 }
 
 analysis::JsonValue scenario_result_to_json(const ScenarioResult& result) {

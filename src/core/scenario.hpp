@@ -2,8 +2,8 @@
 // It wraps any of the three scenario families — classic static
 // experiments, DVFS timeline replays, and power-capped fleets — behind one
 // type, and a registry of ScenarioKindInfo descriptors carries the per-kind
-// hooks (validate, per-seed replica runner, in-seed-order reduction, JSON
-// export), so the engine, the spec front end (core/spec.hpp), and the CLI
+// hooks (validate, per-seed replica runner, in-seed-order reduction, result
+// codec), so the engine, the spec front end (core/spec.hpp), and the CLI
 // dispatch through exactly one code path.  The cache key needs no hook: it
 // is the kind's spec document (spec_to_json), normalised — see
 // canonical_scenario_key.  Adding a scenario kind means adding one variant
@@ -122,13 +122,10 @@ struct ScenarioKindInfo {
   /// order.
   ScenarioResult (*reduce)(const ScenarioConfig&,
                            std::span<ScenarioReplica>) = nullptr;
-  analysis::JsonValue (*to_json)(const ScenarioConfig&,
-                                 const ScenarioResult&) = nullptr;
   /// Exact, complete serialisation of the kind's result — every field,
   /// including the full per-slice traces, at round-trip precision.  This is
-  /// the persistent result store's value format (core/store/), distinct
-  /// from the display-oriented to_json above, which summarises and drops
-  /// trace columns.
+  /// the persistent result store's value format (core/store/) and the
+  /// "result" half of every printed result document (scenario_to_json).
   analysis::JsonValue (*result_to_json)(const ScenarioResult&) = nullptr;
   /// Inverse of result_to_json: fills `out` from a stored document.
   /// Returns false (with the first problem in `error`) on any missing or
@@ -167,10 +164,16 @@ struct ScenarioKindInfo {
 /// anything batched.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& config);
 
-/// Structured export through the kind's exporter (to_json / dvfs_to_json /
-/// fleet_to_json).
-[[nodiscard]] analysis::JsonValue scenario_to_json(const ScenarioConfig& config,
-                                                   const ScenarioResult& result);
+/// The one result document of a finished scenario: `doc` (an object, e.g.
+/// one already holding a point's "label") gains "spec": spec_to_json(config)
+/// and "result": scenario_result_to_json(result), and is returned.  Both
+/// halves reload: the spec re-parses to the same canonical key, the result
+/// through scenario_result_from_json.  `gpowerctl run --json` and serve's
+/// full_results events print it.  Defined in core/spec.cpp beside
+/// spec_to_json.
+[[nodiscard]] analysis::JsonValue scenario_to_json(
+    const ScenarioConfig& config, const ScenarioResult& result,
+    analysis::JsonValue doc = analysis::JsonValue::object());
 
 /// Full-fidelity result serialisation through the kind's result codec (the
 /// persistent store's value format): dumping and re-parsing reproduces the

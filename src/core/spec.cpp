@@ -1114,6 +1114,14 @@ analysis::JsonValue spec_to_json(const ScenarioConfig& config) {
   return scenario_json(config, /*key=*/false);
 }
 
+analysis::JsonValue scenario_to_json(const ScenarioConfig& config,
+                                     const ScenarioResult& result,
+                                     analysis::JsonValue doc) {
+  doc.set("spec", spec_to_json(config))
+      .set("result", scenario_result_to_json(result));
+  return doc;
+}
+
 std::string canonical_scenario_key(const ScenarioConfig& config) {
   // '\x1f' (unit separator) cannot appear in a kind name, so keys of
   // different kinds can never collide; trace tools split on it.

@@ -231,16 +231,16 @@ std::string result_event(const PendingPoint& point,
   }
   doc.set("metrics", std::move(metrics));
   if (options.full_results) {
-    doc.set("result", scenario_to_json(point.config, result));
+    doc = scenario_to_json(point.config, result, std::move(doc));
   }
   // Compact dump: never contains a raw newline, so one event is one line.
   return doc.dump();
 }
 
 /// One dag node's event, emitted as the node finalises: the node name /
-/// kind, every executed point with its summary metrics (full display
-/// documents with ServeOptions::full_results), and the reduce/search
-/// result document.
+/// kind, every executed point with its summary metrics (plus its spec and
+/// result codec documents with ServeOptions::full_results), and the
+/// reduce/search result document.
 std::string dag_node_event(long req, const dag::DagNodeRun& node,
                            const ServeOptions& options) {
   JsonValue doc = JsonValue::object();
@@ -258,7 +258,7 @@ std::string dag_node_event(long req, const dag::DagNodeRun& node,
     }
     entry.set("metrics", std::move(metrics));
     if (options.full_results) {
-      entry.set("result", scenario_to_json(point.config, point.result));
+      entry = scenario_to_json(point.config, point.result, std::move(entry));
     }
     points.push(std::move(entry));
   }

@@ -20,6 +20,9 @@
 //   {"type":"accepted","req":1,"scenario":"fleet","points":12}
 //   {"type":"result","req":1,"point":"uniform@0.50","scenario":"fleet",
 //    "metrics":{"energy_j":...,"completion_s":...,...}}
+//                  (with ServeOptions::full_results, result events and
+//                   node-event points add "spec" and "result":
+//                   scenario_to_json)
 //   {"type":"done","req":1,"points":12}
 //   {"type":"error","req":2,"error":"..."}
 //   {"type":"node","req":3,"node":"grid","kind":"campaign",
@@ -82,8 +85,9 @@
 namespace gpupower::core {
 
 struct ServeOptions {
-  /// Attach the kind's full display document ("result": scenario_to_json)
-  /// to every result event, not just the summary metrics.
+  /// Attach each point's "spec" and "result" documents (scenario_to_json:
+  /// the spec and the store's result codec) to every result and node event,
+  /// not just the summary metrics.
   bool full_results = false;
   /// Emit a stats event after every N completed scenarios; 0 (default)
   /// emits only on request, keeping the historical event stream exact.

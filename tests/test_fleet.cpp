@@ -17,7 +17,7 @@
 #include "core/engine.hpp"
 #include "core/env.hpp"
 #include "core/fleet_experiment.hpp"
-#include "core/report.hpp"
+#include "core/scenario.hpp"
 #include "gpusim/fleet/allocator.hpp"
 #include "gpusim/fleet/thermal.hpp"
 #include "gpusim/simulator.hpp"
@@ -410,9 +410,11 @@ TEST(Fleet, P99BacklogIsAFleetQuantileBelowTheMax) {
 
   EXPECT_GT(result.backlog_p99_s, 0.0);
   EXPECT_LE(result.backlog_p99_s, result.backlog_max_s + 1e-12);
-  // The JSON export carries the SLO metric.
-  const std::string json = core::fleet_to_json(capped, result).dump();
-  EXPECT_NE(json.find("\"backlog_p99_s\":"), std::string::npos);
+  // The result codec carries the SLO metric.
+  const analysis::JsonValue json =
+      core::scenario_result_to_json(core::ScenarioResult(result));
+  ASSERT_NE(json.find("backlog_p99_s"), nullptr);
+  EXPECT_EQ(json.find("backlog_p99_s")->as_number(), result.backlog_p99_s);
 }
 
 TEST(Fleet, DemandAwareAllocationBeatsUniformOnBacklog) {

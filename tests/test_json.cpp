@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "core/figures.hpp"
-#include "core/report.hpp"
 #include "core/scenario.hpp"
 
 namespace gpupower::analysis {
@@ -58,20 +57,26 @@ TEST(Json, Nesting) {
   EXPECT_EQ(obj.dump(), "{\"xs\":[1.5]}");
 }
 
-TEST(Report, ExperimentToJsonCarriesEverything) {
+TEST(ScenarioJson, StaticDocumentCarriesSpecAndResult) {
   gpupower::core::ExperimentConfig config;
   config.dtype = gpupower::numeric::DType::kFP16;
   config.n = 128;
   config.seeds = 1;
   config.pattern = gpupower::core::baseline_gaussian_spec();
-  const auto result = gpupower::core::run_scenario(config).static_result();
-  const std::string json = gpupower::core::to_json(config, result).dump();
-  EXPECT_NE(json.find("\"gpu\":\"NVIDIA A100 PCIe 40GB\""), std::string::npos);
-  EXPECT_NE(json.find("\"dtype\":\"FP16\""), std::string::npos);
+  const std::string json =
+      gpupower::core::scenario_to_json(config,
+                                       gpupower::core::run_scenario(config))
+          .dump();
+  // The spec half names the working point and protocol in spec spellings.
+  EXPECT_NE(json.find("\"gpu\":\"a100\""), std::string::npos);
+  EXPECT_NE(json.find("\"dtype\":\"fp16\""), std::string::npos);
   EXPECT_NE(json.find("\"pattern\":\"gaussian(mean=0)\""), std::string::npos);
+  EXPECT_NE(json.find("\"n\":128"), std::string::npos);
+  EXPECT_NE(json.find("\"sampling\":"), std::string::npos);
+  // The result half is the store codec: summary, rails and seed count.
   EXPECT_NE(json.find("\"power_w\":"), std::string::npos);
   EXPECT_NE(json.find("\"rails\":"), std::string::npos);
-  EXPECT_NE(json.find("\"protocol\":"), std::string::npos);
+  EXPECT_NE(json.find("\"seeds\":1"), std::string::npos);
 }
 
 }  // namespace

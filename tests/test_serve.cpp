@@ -273,17 +273,24 @@ TEST(ServeSession, SecondSessionDedupsThroughSharedEngine) {
   EXPECT_EQ(after_second.cache_hits, after_first.cache_hits + 2);
 }
 
-// --full attaches the kind's complete display document to every result.
-TEST(ServeSession, FullResultsAttachTheDisplayDocument) {
+// --full attaches the spec and the exact result codec to every result.
+TEST(ServeSession, FullResultsAttachSpecAndResult) {
   ExperimentEngine engine = make_engine();
   ServeOptions options;
   options.full_results = true;
   const auto events =
       run_session(engine, std::string(kSingleSpec) + "\n", options);
   ASSERT_EQ(events.size(), 3u);
-  const JsonValue* full = events[1].find("result");
-  ASSERT_NE(full, nullptr);
-  EXPECT_NE(full->find("power_w"), nullptr);
+  const JsonValue* spec = events[1].find("spec");
+  ASSERT_NE(spec, nullptr);
+  const SpecParseResult echoed = parse_scenario_spec(*spec);
+  ASSERT_TRUE(echoed.ok) << echoed.error;
+  EXPECT_EQ(canonical_scenario_key(echoed.spec.config),
+            canonical_scenario_key(
+                parse_scenario_spec_text(kSingleSpec).spec.config));
+  const JsonValue* result = events[1].find("result");
+  ASSERT_NE(result, nullptr);
+  EXPECT_NE(result->find("power_w"), nullptr);
 }
 
 }  // namespace

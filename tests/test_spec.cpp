@@ -740,6 +740,37 @@ TEST(Scenario, EngineMatchesRunScenarioForEveryKind) {
   }
 }
 
+TEST(Scenario, ResultDocumentReloadsForEveryKind) {
+  for (const ScenarioConfig& config :
+       {ScenarioConfig(small_experiment()), ScenarioConfig(small_dvfs()),
+        ScenarioConfig(small_fleet())}) {
+    SCOPED_TRACE(std::string(name(config.kind())));
+    analysis::JsonValue label = analysis::JsonValue::object();
+    label.set("label", analysis::JsonValue::string("point"));
+    // Printed and re-read, as a client of `gpowerctl run --json` would.
+    const analysis::JsonParseResult printed = analysis::json_parse(
+        scenario_to_json(config, run_scenario(config), std::move(label))
+            .dump(/*pretty=*/true));
+    ASSERT_TRUE(printed.ok) << printed.error;
+    EXPECT_EQ(printed.value.keys(),
+              (std::vector<std::string>{"label", "spec", "result"}));
+
+    const SpecParseResult spec =
+        parse_scenario_spec(*printed.value.find("spec"));
+    ASSERT_TRUE(spec.ok) << spec.error;
+    EXPECT_EQ(canonical_scenario_key(spec.spec.config),
+              canonical_scenario_key(config));
+
+    const analysis::JsonValue& result = *printed.value.find("result");
+    ScenarioResult reloaded;
+    std::string error;
+    ASSERT_TRUE(
+        scenario_result_from_json(config.kind(), result, reloaded, error))
+        << error;
+    EXPECT_EQ(scenario_result_to_json(reloaded).dump(), result.dump());
+  }
+}
+
 TEST(Scenario, SubmitRejectsInvalidConfigsViaRegistry) {
   ExperimentEngine engine(EngineOptions::with_workers(2));
   ExperimentConfig config = small_experiment();

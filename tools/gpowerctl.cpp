@@ -14,17 +14,19 @@
 //   gpowerctl validate <spec.json>
 //       parse a declarative scenario spec (core/spec.hpp) and report what
 //       it would run — campaign grids are expanded and every point checked
-//   gpowerctl run <spec.json> [--json] [--bench-out FILE]
+//   gpowerctl run <spec.json> [--csv | --json] [--bench-out FILE]
 //       execute a spec: one scenario, or a whole campaign grid fanned
 //       through the engine as one deduplicated batch.  Figure sweeps, DVFS
 //       governor comparisons and power-capped fleets are specs too — see
 //       examples/specs/ (figure_sweep.json, dvfs_baselines.json,
-//       fleet_capping.json)
+//       fleet_capping.json).  --json prints every point's "spec" (its
+//       spec document) and "result" (the store's exact result codec)
 //   gpowerctl serve [--socket PATH] [--full]
 //       long-lived mode: read newline-delimited spec JSON from stdin (or
 //       accept concurrent clients on a Unix socket) and stream one NDJSON
 //       result line per scenario as it completes; all clients share one
-//       engine and one result store, so identical submissions dedup
+//       engine and one result store, so identical submissions dedup.
+//       --full attaches the same "spec" and "result" documents
 //   gpowerctl top --socket PATH | --metrics-file FILE
 //       live operational view: poll a serve socket's stats events (or
 //       re-read a --metrics-out / GPUPOWER_METRICS document) and render
@@ -36,11 +38,13 @@
 // every replica computation (GPUPOWER_STORE=off disables it without
 // unsetting the directory).
 //
-// Common options: --n SIZE, --seeds K, --tiles T, --kfrac F, --workers W
-// (same meaning, range, and strictness as the GPUPOWER_* environment
-// knobs).  Campaigns and model training run batched on the
-// ExperimentEngine: every point fans out across the worker pool and
-// repeated configurations are served from the engine cache.
+// Each flag applies to the verbs that read it (kFlagScopes); on any other
+// verb it exits 2.  --n SIZE, --seeds K, --tiles T, --kfrac F (dmon,
+// features, predict) and --workers W (run, serve, predict) have the same
+// meaning, range, and strictness as the GPUPOWER_* environment knobs; a
+// spec sets its own experiment fields.  Campaigns and model training run
+// batched on the ExperimentEngine: every point fans out across the worker
+// pool and repeated configurations are served from the engine cache.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -81,8 +85,21 @@ namespace {
 
 using namespace gpupower;
 
+/// The verbs as bits, so a flag can name every verb that reads it.
+enum Verb : unsigned {
+  kDiscovery = 1u << 0,
+  kDmon = 1u << 1,
+  kFeatures = 1u << 2,
+  kPredict = 1u << 3,
+  kRun = 1u << 4,
+  kValidate = 1u << 5,
+  kServe = 1u << 6,
+  kTop = 1u << 7,
+};
+
 struct Options {
   std::string command;
+  Verb verb = kDiscovery;
   int gpu_index = 0;
   numeric::DType dtype = numeric::DType::kFP16;
   std::string pattern = "gaussian()";
@@ -141,23 +158,27 @@ int usage(const char* argv0) {
                "until ctrl-c)\n"
                "  --plain          top: append frames instead of clearing "
                "the terminal\n"
-               "  --full           serve: attach full result documents to "
-               "result events\n"
+               "  --full           serve: attach each point's spec and "
+               "result documents\n"
                "  --stats-every N  serve: emit a stats event after every N "
                "completed\n"
                "                   scenarios (default 0 = on request only)\n"
-               "  --bench-out FILE bench-document export of a campaign run\n"
+               "  --bench-out FILE run: bench-document export of the run\n"
                "  --trace-out FILE Chrome-trace JSON (chrome://tracing / "
                "Perfetto) of the run\n"
                "  --metrics-out FILE  run: engine + obs metrics JSON after "
                "the spec completes\n"
-               "  --workers W --csv --json\n"
+               "  --csv / --json   run: CSV tables / every point's spec and "
+               "result documents\n"
+               "  --workers W      run/serve/predict: engine worker count\n"
                "dmon/features/predict only (a spec sets these fields "
                "itself):\n"
-               "  --gpu N          device index (see 'discovery'; default 0)\n"
                "  --dtype T        fp32 | fp16 | fp16t | int8 (default fp16)\n"
                "  --pattern DSL    e.g. \"gaussian(sigma=210) | sort_rows(40%%)\"\n"
-               "  --n SIZE --seeds K --tiles T --kfrac F\n"
+               "  --n SIZE         GEMM size N (N x N x N)\n"
+               "  --gpu N          dmon/predict: device index (see "
+               "'discovery'; default 0)\n"
+               "  --seeds K --tiles T --kfrac F  dmon/predict\n"
                "environment (strict; malformed values exit 2):\n"
                "  GPUPOWER_STORE_DIR  persistent result store for run/serve: "
                "completed\n"
@@ -188,17 +209,44 @@ constexpr std::pair<std::string_view, core::BenchKnob> kKnobFlags[] = {
     {"--workers", core::BenchKnob::kWorkers},
 };
 
-/// The experiment flags of dmon/features/predict, each with the spec field
-/// that carries the same setting.  A spec sets these itself, so the spec
-/// verbs (run/validate/serve) reject them rather than ignore them.
-constexpr std::pair<std::string_view, std::string_view> kSpecFieldFlags[] = {
-    {"--n", "experiment.n"},
-    {"--seeds", "experiment.seeds"},
-    {"--tiles", "experiment.sampling.tiles"},
-    {"--kfrac", "experiment.sampling.k_fraction"},
-    {"--gpu", "experiment.gpu"},
-    {"--dtype", "experiment.dtype"},
-    {"--pattern", "experiment.pattern"},
+constexpr std::pair<std::string_view, Verb> kVerbs[] = {
+    {"discovery", kDiscovery}, {"dmon", kDmon},         {"features", kFeatures},
+    {"predict", kPredict},     {"run", kRun},           {"validate", kValidate},
+    {"serve", kServe},         {"top", kTop},
+};
+
+/// Every flag with the verbs that read it; any other verb rejects it
+/// rather than ignore it.  The experiment flags also name the spec field
+/// that carries the same setting, the hint the spec verbs print.
+struct FlagScope {
+  std::string_view flag;
+  unsigned verbs;
+  std::string_view spec_field;
+};
+constexpr unsigned kSpecVerbs = kRun | kValidate | kServe;
+constexpr FlagScope kFlagScopes[] = {
+    {"--n", kDmon | kFeatures | kPredict, "experiment.n"},
+    {"--seeds", kDmon | kPredict, "experiment.seeds"},
+    {"--tiles", kDmon | kPredict, "experiment.sampling.tiles"},
+    {"--kfrac", kDmon | kPredict, "experiment.sampling.k_fraction"},
+    {"--gpu", kDmon | kPredict, "experiment.gpu"},
+    {"--dtype", kDmon | kFeatures | kPredict, "experiment.dtype"},
+    {"--pattern", kDmon | kFeatures | kPredict, "experiment.pattern"},
+    {"--workers", kPredict | kRun | kServe, {}},
+    {"--csv", kRun, {}},
+    {"--json", kRun, {}},
+    {"--bench-out", kRun, {}},
+    {"--metrics-out", kRun, {}},
+    {"--trace-out", kDmon | kFeatures | kPredict | kRun | kValidate | kServe,
+     {}},
+    {"--expand", kValidate, {}},
+    {"--socket", kServe | kTop, {}},
+    {"--full", kServe, {}},
+    {"--stats-every", kServe, {}},
+    {"--metrics-file", kTop, {}},
+    {"--interval", kTop, {}},
+    {"--count", kTop, {}},
+    {"--plain", kTop, {}},
 };
 
 bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
@@ -207,21 +255,26 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
     return false;
   }
   opts.command = argv[1];
+  const auto* verb = std::find_if(
+      std::begin(kVerbs), std::end(kVerbs),
+      [&](const auto& entry) { return entry.first == opts.command; });
+  if (verb == std::end(kVerbs)) {
+    error = "unknown command '" + opts.command + "'";
+    return false;
+  }
+  opts.verb = verb->second;
   opts.env = core::read_bench_env();
-  const bool spec_verb = opts.command == "run" ||
-                         opts.command == "validate" ||
-                         opts.command == "serve";
   for (int i = 2; i < argc; ++i) {
     const std::string_view flag = argv[i];
-    if (spec_verb) {
-      const auto* field = std::find_if(
-          std::begin(kSpecFieldFlags), std::end(kSpecFieldFlags),
-          [&](const auto& entry) { return entry.first == flag; });
-      if (field != std::end(kSpecFieldFlags)) {
-        error = std::string(flag) + " does not apply to " + opts.command +
-                ": set " + std::string(field->second) + " in the spec";
-        return false;
+    const auto* scope = std::find_if(
+        std::begin(kFlagScopes), std::end(kFlagScopes),
+        [&](const FlagScope& entry) { return entry.flag == flag; });
+    if (scope != std::end(kFlagScopes) && (scope->verbs & opts.verb) == 0) {
+      error = std::string(flag) + " does not apply to " + opts.command;
+      if ((opts.verb & kSpecVerbs) != 0 && !scope->spec_field.empty()) {
+        error += ": set " + std::string(scope->spec_field) + " in the spec";
       }
+      return false;
     }
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
@@ -329,7 +382,7 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
       }
       opts.metrics_out = v;
     } else if (!flag.starts_with("--") && opts.spec_path.empty() &&
-               (opts.command == "run" || opts.command == "validate")) {
+               (opts.verb & (kRun | kValidate)) != 0) {
       // Only run/validate take a positional (the spec path); a stray
       // positional on any other verb stays a hard error.
       opts.spec_path = flag;
@@ -768,10 +821,9 @@ int run_campaign(const Options& opts, const core::ScenarioSpec& spec) {
     analysis::JsonValue series = analysis::JsonValue::array();
     for (std::size_t i = 0; i < run.points.size(); ++i) {
       analysis::JsonValue entry = analysis::JsonValue::object();
-      entry.set("label", analysis::JsonValue::string(run.points[i].label))
-          .set("result", core::scenario_to_json(run.points[i].config,
-                                                run.handles[i].get()));
-      series.push(std::move(entry));
+      entry.set("label", analysis::JsonValue::string(run.points[i].label));
+      series.push(core::scenario_to_json(
+          run.points[i].config, run.handles[i].get(), std::move(entry)));
     }
     doc.set("points", std::move(series));
     std::printf("%s\n", doc.dump(/*pretty=*/true).c_str());
@@ -867,10 +919,9 @@ int run_dag_spec(const Options& opts, const core::ScenarioSpec& spec) {
         analysis::JsonValue points = analysis::JsonValue::array();
         for (const core::dag::DagNodePoint& point : node.points) {
           analysis::JsonValue point_doc = analysis::JsonValue::object();
-          point_doc.set("label", analysis::JsonValue::string(point.label))
-              .set("result",
-                   core::scenario_to_json(point.config, point.result));
-          points.push(std::move(point_doc));
+          point_doc.set("label", analysis::JsonValue::string(point.label));
+          points.push(core::scenario_to_json(point.config, point.result,
+                                             std::move(point_doc)));
         }
         entry.set("points", std::move(points));
       }
@@ -1298,14 +1349,15 @@ int main(int argc, char** argv) {
   // which only fills still-default knobs.
   if (!opts.trace_out.empty()) core::obs::set_trace_path(opts.trace_out);
   if (!opts.metrics_out.empty()) core::obs::set_metrics_enabled(true);
-  if (opts.command == "discovery") return cmd_discovery();
-  if (opts.command == "dmon") return cmd_dmon(opts);
-  if (opts.command == "features") return cmd_features(opts);
-  if (opts.command == "predict") return cmd_predict(opts);
-  if (opts.command == "run") return cmd_run(opts);
-  if (opts.command == "validate") return cmd_validate(opts);
-  if (opts.command == "serve") return cmd_serve(opts);
-  if (opts.command == "top") return cmd_top(opts);
-  std::fprintf(stderr, "error: unknown command '%s'\n", opts.command.c_str());
+  switch (opts.verb) {
+    case kDiscovery: return cmd_discovery();
+    case kDmon: return cmd_dmon(opts);
+    case kFeatures: return cmd_features(opts);
+    case kPredict: return cmd_predict(opts);
+    case kRun: return cmd_run(opts);
+    case kValidate: return cmd_validate(opts);
+    case kServe: return cmd_serve(opts);
+    case kTop: return cmd_top(opts);
+  }
   return usage(argv[0]);
 }
