@@ -5,10 +5,10 @@
 // measurements as BENCH_activity.json (tools/bench_export) so the speedup
 // is tracked as a committed trajectory file and a CI artifact.
 //
-// Knobs: GPUPOWER_N (default 1024 here, the acceptance shape),
-// GPUPOWER_TILES / GPUPOWER_KFRAC (default 12 / 0.5, the bench-harness
-// sampled plan); --out <path> changes the JSON destination (default
-// BENCH_activity.json in the working directory).
+// Options: --n SIZE (default 1024, the committed protocol shape; the
+// sampled plan is fixed at 12 tiles / k-fraction 0.5) and --out PATH (the
+// JSON destination, default BENCH_activity.json in the working
+// directory).  A malformed value exits 2.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +19,7 @@
 
 #include "analysis/table.hpp"
 #include "core/env.hpp"
+#include "core/experiment.hpp"
 #include "core/obs/obs.hpp"
 #include "gemm/matrix.hpp"
 #include "gpusim/activity.hpp"
@@ -86,22 +87,30 @@ tools::BenchCase run_case(const char* name, numeric::DType dtype,
 }  // namespace
 
 int main(int argc, char** argv) {
+  (void)core::read_bench_env();  // retired experiment knobs exit 2
   std::string out_path = "BENCH_activity.json";
+  std::size_t n = 1024;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
+    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+    long parsed = 0;
+    if (std::strcmp(argv[i], "--out") == 0 && value != nullptr) {
+      out_path = value;
+    } else if (std::strcmp(argv[i], "--n") == 0 &&
+               core::parse_long_strict(value, core::kMinN, core::kMaxN,
+                                       parsed)) {
+      n = static_cast<std::size_t>(parsed);
+    } else {
+      std::fprintf(stderr,
+                   "micro_activity_kernel: invalid %s '%s' (expected --n "
+                   "SIZE in [%zu, %zu] or --out PATH)\n",
+                   argv[i], value != nullptr ? value : "", core::kMinN,
+                   core::kMaxN);
+      return 2;
     }
+    ++i;
   }
-
-  const core::BenchEnv env = core::read_bench_env();
-  // The acceptance shape is the fig. 1 protocol: N=1024 with the default
-  // sampled plan.  read_bench_env defaults N to 512 for CI speed, so only
-  // honour it when explicitly set.
-  const std::size_t n =
-      core::env_is_set("GPUPOWER_N") ? env.n : std::size_t{1024};
-  gpusim::SamplingPlan plan;
-  plan.max_tiles = env.tiles;
-  plan.k_fraction = env.k_fraction;
+  // The committed protocol's sampled plan.
+  const gpusim::SamplingPlan plan = gpusim::SamplingPlan::fast(12, 0.5);
 
   char protocol[160];
   std::snprintf(protocol, sizeof protocol,

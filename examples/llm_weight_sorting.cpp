@@ -23,8 +23,8 @@
 int main() {
   using namespace gpupower;
 
-  const core::BenchEnv env = core::read_bench_env();
-  const std::size_t n = env.n;
+  (void)core::read_bench_env();  // retired experiment knobs exit 2
+  constexpr std::size_t n = 512;
   std::printf(
       "Power-aware LLM weight transforms on a %zux%zu FFN layer (FP16-T, "
       "A100)\n\n",
@@ -35,7 +35,7 @@ int main() {
   const auto activations = patterns::gaussian_fill(n * n, 0.0, 1.0, 7);
 
   gpusim::SimOptions options;
-  options.sampling = gpusim::SamplingPlan::fast(env.tiles, env.k_fraction);
+  options.sampling = gpusim::SamplingPlan::fast(12, 0.5);
   const gpusim::GpuSimulator sim(gpusim::GpuModel::kA100PCIe, options);
   const auto problem = gemm::GemmProblem::square(n, /*transpose_b=*/false);
 

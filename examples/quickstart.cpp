@@ -1,15 +1,16 @@
-// Quickstart: simulate the paper's baseline experiment — a 2048x2048 GEMM
-// with Gaussian random inputs on an A100 — for all four datatype setups, and
+// Quickstart: simulate the paper's baseline experiment — a GEMM with
+// Gaussian random inputs on an A100 — for all four datatype setups, and
 // print the DCGM-style reported power, runtime, and the per-rail breakdown.
 //
 // The four runs go through the ExperimentEngine: built with the fluent
 // ExperimentConfigBuilder, submitted up front, executed on the worker
-// pool, and collected in order.
+// pool, and collected in order.  The protocol is the fast sampled one
+// (N=512, 2 seeds, 12 warp tiles, half the K-slices); the paper's is
+// N=2048 with 10 seeds, which a spec states (examples/specs/).
 //
 // Build & run:
 //   cmake -B build -S . && cmake --build build -j
-//   ./build/examples/quickstart            # fast sampled run at N=512
-//   GPUPOWER_N=2048 GPUPOWER_SEEDS=10 ./build/examples/quickstart
+//   ./build/examples/quickstart
 #include <cstdio>
 #include <iostream>
 
@@ -22,9 +23,11 @@
 int main() {
   using namespace gpupower;
 
+  constexpr std::size_t kN = 512;
+  constexpr int kSeeds = 2;
   const core::BenchEnv env = core::read_bench_env();
   std::printf("gpupower quickstart: %zux%zu GEMM, %d seed(s), A100 PCIe\n\n",
-              env.n, env.n, env.seeds);
+              kN, kN, kSeeds);
 
   core::EngineOptions options;
   options.workers = env.workers;
@@ -34,7 +37,10 @@ int main() {
   for (const auto dtype : numeric::kAllDTypes) {
     handles.push_back(engine.submit(core::ExperimentConfigBuilder()
                                         .dtype(dtype)
-                                        .env(env)
+                                        .n(kN)
+                                        .seeds(kSeeds)
+                                        .sampling(gpusim::SamplingPlan::fast(
+                                            12, 0.5))
                                         .pattern(core::baseline_gaussian_spec())
                                         .build()));
   }
@@ -54,7 +60,8 @@ int main() {
 
   table.print(std::cout);
   std::printf(
-      "\nPower varies with *input data*, not just shape: try the fig*_ benches\n"
-      "in build/bench/ to sweep the paper's input patterns.\n");
+      "\nPower varies with *input data*, not just shape: run\n"
+      "gpowerctl run examples/specs/paper_figures.json to sweep the paper's\n"
+      "input patterns.\n");
   return 0;
 }

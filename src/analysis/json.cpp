@@ -1,5 +1,6 @@
 #include "analysis/json.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <charconv>
 #include <cmath>
@@ -137,7 +138,23 @@ void JsonValue::write(std::string& out, bool pretty, int depth) const {
         out += "[]";
         return;
       }
+      // An all-number array (a trace column) stays on one line: one
+      // element per line would multiply a long trace's line count.
+      const bool one_line =
+          pretty && std::all_of(items_.begin(), items_.end(),
+                                [](const JsonValue& item) {
+                                  return item.kind_ == Kind::kInteger ||
+                                         item.kind_ == Kind::kNumber;
+                                });
       out += '[';
+      if (one_line) {
+        for (std::size_t i = 0; i < items_.size(); ++i) {
+          if (i != 0) out += ", ";
+          items_[i].write(out, pretty, depth + 1);
+        }
+        out += ']';
+        return;
+      }
       out += nl;
       for (std::size_t i = 0; i < items_.size(); ++i) {
         out += indent;

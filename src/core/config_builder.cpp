@@ -89,11 +89,6 @@ ExperimentConfigBuilder& ExperimentConfigBuilder::variation(
   return *this;
 }
 
-ExperimentConfigBuilder& ExperimentConfigBuilder::env(const BenchEnv& env) {
-  env.apply(config_);
-  return *this;
-}
-
 bool ExperimentConfigBuilder::valid() const noexcept {
   return error_.empty() && validate_experiment_config(config_).empty();
 }

@@ -26,7 +26,6 @@
 #include <utility>
 
 #include "core/dvfs_experiment.hpp"
-#include "core/env.hpp"
 #include "core/experiment.hpp"
 #include "core/fleet_experiment.hpp"
 
@@ -54,10 +53,6 @@ class ExperimentConfigBuilder {
   ExperimentConfigBuilder& sampler(const telemetry::SamplerConfig& config);
   ExperimentConfigBuilder& variation(
       const gpupower::gpusim::ProcessVariation& variation);
-  /// Applies the GPUPOWER_* environment knobs (n, seeds, sampling plan);
-  /// out-of-range values recorded into a BenchEnv by hand (e.g. from CLI
-  /// flags) surface as builder errors.
-  ExperimentConfigBuilder& env(const BenchEnv& env);
 
   [[nodiscard]] bool valid() const noexcept;
   /// First parse error, else validate_experiment_config's; empty when

@@ -1,10 +1,14 @@
 #include "core/dag/dag.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "analysis/correlation.hpp"
+#include "analysis/stats.hpp"
 #include "core/obs/obs.hpp"
 #include "core/spec.hpp"
 #include "gpusim/dvfs/dsl_util.hpp"
@@ -200,17 +204,20 @@ bool parse_reduce(const JsonValue& v, std::string_view where, Ctx& ctx,
                   const std::vector<NodeSketch>& sketches, std::size_t self,
                   DagReduce& out) {
   if (!v.is_object()) return ctx.fail(where, "expected an object");
-  if (!check_keys(v, where, {"op", "over", "baseline", "metric"}, ctx)) {
+  if (!check_keys(v, where, {"op", "over", "baseline", "metric", "against"},
+                  ctx)) {
     return false;
   }
   if (!read_string(v.find("op"), std::string(where) + ".op", ctx, out.op)) {
     return false;
   }
   if (out.op != "regret" && out.op != "min" && out.op != "max" &&
-      out.op != "mean" && out.op != "sum") {
+      out.op != "mean" && out.op != "sum" && out.op != "stats" &&
+      out.op != "pearson") {
     return ctx.fail(std::string(where) + ".op",
                     "unknown op '" + out.op +
-                        "' (expected regret | min | max | mean | sum)");
+                        "' (expected regret | min | max | mean | sum | "
+                        "stats | pearson)");
   }
   std::string over_name;
   if (!read_string(v.find("over"), std::string(where) + ".over", ctx,
@@ -280,6 +287,22 @@ bool parse_reduce(const JsonValue& v, std::string_view where, Ctx& ctx,
   }
   if (out.metric.empty()) {
     return ctx.fail(std::string(where) + ".metric", "must not be empty");
+  }
+  if (const JsonValue* against = v.find("against")) {
+    if (out.op != "pearson") {
+      return ctx.fail(std::string(where) + ".against",
+                      "only meaningful for op 'pearson'");
+    }
+    if (!read_string(against, std::string(where) + ".against", ctx,
+                     out.against)) {
+      return false;
+    }
+    if (out.against.empty()) {
+      return ctx.fail(std::string(where) + ".against", "must not be empty");
+    }
+  } else if (out.op == "pearson") {
+    return ctx.fail(std::string(where) + ".against",
+                    "required for op 'pearson' (the second metric path)");
   }
   return true;
 }
@@ -405,6 +428,27 @@ bool topo_order(const std::vector<DagNode>& nodes,
     }
   }
   return true;
+}
+
+/// The scalar folds: mean | sum | min | max, and regret reports the worst
+/// (max) regret.
+double fold(std::string_view op, const std::vector<double>& values) {
+  double aggregate = 0.0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (op == "mean" || op == "sum") {
+      aggregate += values[i];
+    } else if (i == 0) {
+      aggregate = values[i];
+    } else if (op == "min") {
+      aggregate = std::min(aggregate, values[i]);
+    } else {
+      aggregate = std::max(aggregate, values[i]);
+    }
+  }
+  if (op == "mean" && !values.empty()) {
+    aggregate /= static_cast<double>(values.size());
+  }
+  return aggregate;
 }
 
 void add_dep(std::vector<std::size_t>& deps, std::size_t index) {
@@ -779,9 +823,10 @@ class DagExecutor {
         return false;
       }
     }
+    const bool pearson = reduce.op == "pearson";
     JsonValue points = JsonValue::array();
-    double aggregate = 0.0;
-    bool first = true;
+    std::vector<double> values;
+    std::vector<double> against;
     for (const DagNodePoint& point : over.points) {
       double value = 0.0;
       if (!point_metric(index, over, point, reduce.metric, value, error)) {
@@ -791,34 +836,50 @@ class DagExecutor {
       JsonValue entry = JsonValue::object();
       entry.set("label", JsonValue::string(point.label))
           .set("value", JsonValue::number(value));
-      points.push(std::move(entry));
-      if (reduce.op == "mean" || reduce.op == "sum") {
-        aggregate += value;
-      } else if (reduce.op == "min") {
-        aggregate = first ? value : (value < aggregate ? value : aggregate);
-      } else {  // max, and regret reports the worst (max) regret
-        aggregate = first ? value : (value > aggregate ? value : aggregate);
+      if (pearson) {
+        double x = 0.0;
+        if (!point_metric(index, over, point, reduce.against, x, error)) {
+          return false;
+        }
+        entry.set("against_value", JsonValue::number(x));
+        against.push_back(x);
       }
-      first = false;
-    }
-    if (reduce.op == "mean" && !over.points.empty()) {
-      aggregate /= static_cast<double>(over.points.size());
+      points.push(std::move(entry));
+      values.push_back(value);
     }
     run.doc = JsonValue::object();
     run.doc.set("op", JsonValue::string(reduce.op))
         .set("over", JsonValue::string(over.name))
         .set("metric", JsonValue::string(reduce.metric));
+    if (pearson) run.doc.set("against", JsonValue::string(reduce.against));
     if (reduce.has_baseline) {
       run.doc.set("baseline",
                   JsonValue::string(out_.nodes[reduce.baseline].name))
           .set("baseline_value", JsonValue::number(baseline));
     }
-    run.doc.set("points", std::move(points))
-        .set("value", JsonValue::number(aggregate));
+    run.doc.set("points", std::move(points));
+    if (pearson) {
+      run.doc
+          .set("value", JsonValue::number(analysis::pearson(against, values)))
+          .set("spearman",
+               JsonValue::number(analysis::spearman(against, values)));
+    } else if (reduce.op == "stats") {
+      analysis::RunningStats stats;
+      for (const double value : values) stats.add(value);
+      run.doc.set("value", JsonValue::number(stats.mean()))
+          .set("sd", JsonValue::number(stats.stddev()))
+          .set("ci95_halfwidth", JsonValue::number(stats.ci95_halfwidth()))
+          .set("min", JsonValue::number(stats.min()))
+          .set("max", JsonValue::number(stats.max()))
+          .set("n", JsonValue::integer(static_cast<long long>(stats.count())));
+    } else {
+      run.doc.set("value", JsonValue::number(fold(reduce.op, values)));
+    }
     // Reduce nodes never touch the engine; the attribution key is
     // synthetic but stable, mirroring canonical-key field separators.
     run.key = "dag-reduce\x1f" + reduce.op + "\x1f" + over.name + "\x1f" +
               reduce.metric;
+    if (pearson) run.key += "\x1f" + reduce.against;
     return true;
   }
 

@@ -38,7 +38,10 @@
 //   run (campaign)  {"points": [{"label": ..., "result": <doc>}, ...]}
 //                   (refs may index arrays numerically: "points.0.result.x")
 //   reduce        {"op", "over", "metric", "value",
-//                  "points": [{"label", "value"}, ...]}
+//                  "points": [{"label", "value"}, ...]}; stats adds
+//                  "sd", "ci95_halfwidth", "min", "max", "n"; pearson
+//                  adds "against", "spearman" and each point's
+//                  "against_value"
 //   search        {"field", "value", "iterations", "result": <doc of the
 //                  accepted point>}
 //
@@ -86,13 +89,19 @@ enum class DagNodeKind { kScenario, kCampaign, kReduce, kSearch };
 /// A reduce node: fold one metric across an upstream node's points.
 /// op "regret" subtracts the baseline node's metric from every point and
 /// reports the worst (max) regret as the aggregate value; min | max |
-/// mean | sum fold the points directly (no baseline).
+/// mean | sum fold the points directly (no baseline).  "stats" reports
+/// the mean as the value with sd, ci95_halfwidth, min, max and n beside
+/// it (analysis::RunningStats); "pearson" correlates the metric with a
+/// second path, `against`, over the same points: the value is
+/// analysis::pearson(against, metric), with the spearman rank
+/// correlation beside it.
 struct DagReduce {
   std::string op;
   std::size_t over = 0;      ///< node index whose points are folded
   std::size_t baseline = 0;  ///< single-scenario node (regret only)
   bool has_baseline = false;
-  std::string metric;  ///< dotted path into each point's result document
+  std::string metric;   ///< dotted path into each point's result document
+  std::string against;  ///< second dotted path (pearson only)
 };
 
 /// A search node: deterministic bisection over one dotted field of a

@@ -23,26 +23,13 @@ long read_long(const char* name, long fallback, long min, long max,
   return v;
 }
 
-/// Each BenchEnv knob's environment variable, in read order.
-constexpr std::pair<BenchKnob, const char*> kKnobVars[] = {
-    {BenchKnob::kN, "GPUPOWER_N"},
-    {BenchKnob::kSeeds, "GPUPOWER_SEEDS"},
-    {BenchKnob::kTiles, "GPUPOWER_TILES"},
-    {BenchKnob::kKFraction, "GPUPOWER_KFRAC"},
-    {BenchKnob::kWorkers, "GPUPOWER_WORKERS"},
+/// The retired experiment knobs and the spec field that replaced each.
+constexpr std::pair<const char*, const char*> kRetiredKnobs[] = {
+    {"GPUPOWER_N", "experiment.n"},
+    {"GPUPOWER_SEEDS", "experiment.seeds"},
+    {"GPUPOWER_TILES", "experiment.sampling.tiles"},
+    {"GPUPOWER_KFRAC", "experiment.sampling.k_fraction"},
 };
-
-/// As parse_long_strict for reals in (min, max] — the lower bound is
-/// exclusive, which is what fraction knobs want.
-bool parse_double_strict(const char* text, double min, double max,
-                         double& out) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !(v > min) || !(v <= max)) return false;
-  out = v;
-  return true;
-}
 
 }  // namespace
 
@@ -55,53 +42,27 @@ bool parse_long_strict(const char* text, long min, long max, long& out) {
   return true;
 }
 
-bool set_bench_knob(BenchEnv& env, BenchKnob knob, const char* text,
-                    std::string& expect) {
+bool parse_workers(const char* text, int& out) {
   long v = 0;
-  switch (knob) {
-    case BenchKnob::kN:
-      expect = "integer matrix size in [" + std::to_string(kMinN) + ", " +
-               std::to_string(kMaxN) + "]";
-      if (!parse_long_strict(text, kMinN, kMaxN, v)) return false;
-      env.n = static_cast<std::size_t>(v);
-      return true;
-    case BenchKnob::kSeeds:
-      expect = "integer seed count in [1, " + std::to_string(kMaxSeeds) + "]";
-      if (!parse_long_strict(text, 1, kMaxSeeds, v)) return false;
-      env.seeds = static_cast<int>(v);
-      return true;
-    case BenchKnob::kTiles:
-      expect = "integer tile budget in [0, " + std::to_string(kMaxTiles) +
-               "]; 0 = exact walk";
-      if (!parse_long_strict(text, 0, kMaxTiles, v)) return false;
-      env.tiles = static_cast<std::size_t>(v);
-      return true;
-    case BenchKnob::kKFraction:
-      expect = "fraction in (0, 1]";
-      return parse_double_strict(text, 0.0, 1.0, env.k_fraction);
-    case BenchKnob::kWorkers:
-      expect = "worker count in [0, 256]; 0 = hardware concurrency";
-      if (!parse_long_strict(text, 0, 256, v)) return false;
-      env.workers = static_cast<int>(v);
-      return true;
-  }
-  return false;
+  if (!parse_long_strict(text, 0, 256, v)) return false;
+  out = static_cast<int>(v);
+  return true;
 }
 
 BenchEnv read_bench_env() {
-  BenchEnv env;
-  for (const auto& [knob, name] : kKnobVars) {
+  for (const auto& [name, field] : kRetiredKnobs) {
     const char* raw = std::getenv(name);
     if (raw == nullptr || *raw == '\0') continue;
-    std::string expect;
-    if (!set_bench_knob(env, knob, raw, expect)) die(name, raw, expect.c_str());
+    std::fprintf(stderr, "gpupower: %s is retired: set %s in the spec\n",
+                 name, field);
+    std::exit(2);
+  }
+  BenchEnv env;
+  const char* raw = std::getenv("GPUPOWER_WORKERS");
+  if (raw != nullptr && *raw != '\0' && !parse_workers(raw, env.workers)) {
+    die("GPUPOWER_WORKERS", raw, kWorkersExpect);
   }
   return env;
-}
-
-bool env_is_set(const char* name) {
-  const char* raw = std::getenv(name);
-  return raw != nullptr && *raw != '\0';
 }
 
 StoreEnv read_store_env() {

@@ -1,12 +1,11 @@
-// Environment-variable configuration shared by the bench binaries, the
-// examples and gpowerctl's dmon/features/predict, so a single knob set
-// scales them between CI speed and paper-fidelity runs (a spec carries its
-// own experiment fields; only GPUPOWER_WORKERS applies to spec runs):
-//   GPUPOWER_N        matrix dimension (default 512; paper 2048)
-//   GPUPOWER_SEEDS    seeds per configuration (default 2; paper 10)
-//   GPUPOWER_TILES    sampled warp tiles, 0 = exact walk (default 12)
-//   GPUPOWER_KFRAC    fraction of K-slices walked (default 0.5)
+// Environment-variable configuration.  An experiment is described by a
+// spec (core/spec.hpp), never by the environment; the one engine knob,
+// shared by every binary that runs an engine, is:
 //   GPUPOWER_WORKERS  engine worker threads, 0 = hardware (default 0)
+//
+// GPUPOWER_N / GPUPOWER_SEEDS / GPUPOWER_TILES / GPUPOWER_KFRAC are
+// retired: setting any of them exits 2 naming the spec field that carries
+// the setting, so an old script never silently runs the defaults.
 //
 // The persistent result store (core/store/) has its own knobs, shared by
 // gpowerctl's run and serve verbs:
@@ -31,48 +30,33 @@
 #include <cstddef>
 #include <string>
 
-#include "core/experiment.hpp"
 
 namespace gpupower::core {
 
 struct BenchEnv {
-  std::size_t n = 512;
-  int seeds = 2;
-  std::size_t tiles = 12;
-  double k_fraction = 0.5;
   int workers = 0;  ///< ExperimentEngine pool size; 0 = hardware concurrency
-
-  /// Applies the environment knobs onto an ExperimentConfig.
-  void apply(ExperimentConfig& config) const {
-    config.n = n;
-    config.seeds = seeds;
-    config.sampling.max_tiles = tiles;
-    config.sampling.k_fraction = k_fraction;
-  }
 };
 
-/// Reads the GPUPOWER_* variables.  Unset variables keep their defaults;
-/// invalid values print `gpupower: invalid GPUPOWER_X='...' (expected ...)`
-/// and exit(2).
+/// Reads GPUPOWER_WORKERS.  Unset keeps the default; an invalid value
+/// prints `gpupower: invalid GPUPOWER_WORKERS='...' (expected ...)` and a
+/// retired experiment knob `gpupower: GPUPOWER_N is retired: set
+/// experiment.n in the spec`, both with exit(2).
 [[nodiscard]] BenchEnv read_bench_env();
 
 /// Strict whole-token integer parse, the one number validator behind every
-/// GPUPOWER_* knob and gpowerctl's numeric flags: `text` must be exactly
-/// one base-10 integer in [min, max] — no empty string, no trailing
-/// characters ("3x" and "abc" are rejected, not read as 3 and 0).
+/// GPUPOWER_* knob and the command-line numeric flags: `text` must be
+/// exactly one base-10 integer in [min, max] — no empty string, no
+/// trailing characters ("3x" and "abc" are rejected, not read as 3 and 0).
 [[nodiscard]] bool parse_long_strict(const char* text, long min, long max,
                                      long& out);
 
-/// The BenchEnv knobs.  Each has one validator (range and message), shared
-/// by its GPUPOWER_* variable and any command-line flag mirroring it.
-enum class BenchKnob { kN, kSeeds, kTiles, kKFraction, kWorkers };
+/// The accepted form of a worker count, for error messages.
+inline constexpr const char* kWorkersExpect =
+    "worker count in [0, 256]; 0 = hardware concurrency";
 
-/// Parses `text` into `env`'s field for `knob`.  Returns false on a
-/// malformed or out-of-range value, leaving the field unchanged; `expect`
-/// always receives the accepted form (e.g. "integer seed count in
-/// [1, 10000]") for the caller's error message.
-[[nodiscard]] bool set_bench_knob(BenchEnv& env, BenchKnob knob,
-                                  const char* text, std::string& expect);
+/// GPUPOWER_WORKERS's validator, shared with gpowerctl's --workers so the
+/// flag and the variable accept exactly the same text.
+[[nodiscard]] bool parse_workers(const char* text, int& out);
 
 /// Persistent-result-store knobs (core/store/result_store.hpp).
 struct StoreEnv {
@@ -100,11 +84,5 @@ struct ObsEnv {
 /// 'on' or 'off' (exit 2 otherwise); GPUPOWER_TRACE is a path and any
 /// non-empty value is accepted.
 [[nodiscard]] ObsEnv read_obs_env();
-
-/// True when the variable is set to a non-empty value.  The one sanctioned
-/// presence check outside this module's readers — callers that need the
-/// value itself go through read_bench_env/read_store_env so validation
-/// stays centralised (and tools/lint_project.py enforces exactly that).
-[[nodiscard]] bool env_is_set(const char* name);
 
 }  // namespace gpupower::core

@@ -40,9 +40,8 @@ struct ExperimentConfig {
 };
 
 /// Accepted ranges of the ExperimentConfig fields.  validate_experiment_config
-/// is their one check; the GPUPOWER_* knobs and gpowerctl's flags
-/// (core/env.hpp) use the same bounds, so a config is submittable iff it is
-/// reachable through the knobs.
+/// is their one check, so a config is submittable iff a spec can express
+/// it.
 inline constexpr std::size_t kMinN = 64;
 inline constexpr std::size_t kMaxN = 65536;
 inline constexpr int kMaxSeeds = 10000;

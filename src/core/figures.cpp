@@ -88,34 +88,6 @@ std::string_view figure_name(FigureId id) noexcept {
   return "?";
 }
 
-std::string_view figure_axis(FigureId id) noexcept {
-  switch (id) {
-    case FigureId::kFig3aDistributionStd:
-      return "stddev (FP domain)";
-    case FigureId::kFig3bDistributionMean:
-      return "mean (FP domain)";
-    case FigureId::kFig3cValueSet:
-      return "unique values";
-    case FigureId::kFig4aRandomBitFlips:
-      return "bits flipped (% of width)";
-    case FigureId::kFig4bLsbRandomized:
-    case FigureId::kFig4cMsbRandomized:
-      return "bits randomized (% of width)";
-    case FigureId::kFig5aSortedRows:
-    case FigureId::kFig5bSortedAligned:
-    case FigureId::kFig5cSortedColumns:
-    case FigureId::kFig5dSortedWithinRows:
-      return "percent sorted";
-    case FigureId::kFig6aSparsity:
-    case FigureId::kFig6bSparsityAfterSort:
-      return "sparsity";
-    case FigureId::kFig6cLsbZeroed:
-    case FigureId::kFig6dMsbZeroed:
-      return "bits zeroed (% of width)";
-  }
-  return "x";
-}
-
 std::string_view figure_key(FigureId id) noexcept {
   switch (id) {
     case FigureId::kFig3aDistributionStd:

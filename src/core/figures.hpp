@@ -1,7 +1,7 @@
 // Registry of the paper's experiment sweeps: each figure maps to a list of
-// sweep points (x value + PatternSpec).  Benches and integration tests
-// iterate this registry so the definition of every experiment lives in
-// exactly one place.
+// sweep points (x value + PatternSpec).  Campaign `figure` axes
+// (core/spec.hpp), gpowerctl predict and the tests iterate this registry
+// so the definition of every experiment lives in exactly one place.
 #pragma once
 
 #include <string>
@@ -48,11 +48,7 @@ struct SweepPoint {
 /// Human-readable figure name ("Fig. 5a: sorted into rows").
 [[nodiscard]] std::string_view figure_name(FigureId id) noexcept;
 
-/// The x-axis label for a figure's sweep variable.
-[[nodiscard]] std::string_view figure_axis(FigureId id) noexcept;
-
-/// The paper's sweep for the figure.  `points` trades sweep resolution for
-/// runtime (benches default to the paper's resolution).
+/// The paper's sweep for the figure, at the paper's resolution.
 [[nodiscard]] std::vector<SweepPoint> figure_sweep(FigureId id);
 
 /// Parses "fig5a" / "Fig6b" / "3c" style identifiers; returns true on

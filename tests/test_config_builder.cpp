@@ -109,28 +109,6 @@ TEST(ConfigBuilder, ParseErrorWinsOverRangeErrors) {
             std::string::npos);
 }
 
-TEST(ConfigBuilder, EnvAppliesKnobs) {
-  BenchEnv env;
-  env.n = 256;
-  env.seeds = 4;
-  env.tiles = 6;
-  env.k_fraction = 0.25;
-  const auto config = ExperimentConfigBuilder().env(env).build();
-  EXPECT_EQ(config.n, 256u);
-  EXPECT_EQ(config.seeds, 4);
-  EXPECT_EQ(config.sampling.max_tiles, 6u);
-  EXPECT_DOUBLE_EQ(config.sampling.k_fraction, 0.25);
-}
-
-TEST(ConfigBuilder, EnvOutOfRangeValuesAreErrors) {
-  BenchEnv env;
-  env.seeds = 0;  // assembled by hand (e.g. CLI flags), not read_bench_env
-  EXPECT_FALSE(ExperimentConfigBuilder().env(env).valid());
-  env.seeds = 2;
-  env.k_fraction = 2.0;
-  EXPECT_FALSE(ExperimentConfigBuilder().env(env).valid());
-}
-
 TEST(FleetConfigBuilder, StaggeredDevicesShiftTimelinesAndShareOneGovernor) {
   namespace dvfs = gpupower::gpusim::dvfs;
   const dvfs::WorkloadTimeline burst =

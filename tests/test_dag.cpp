@@ -2,10 +2,11 @@
 // node and path (cycles, unknown `$ref` nodes, nested dags, duplicate
 // names); run-time `$ref` resolution errors name the node and missing
 // path; a diamond's shared upstream is computed exactly once through the
-// engine cache (counters pinned); search nodes bisect deterministically
-// and fail with pointed errors when the predicate cannot hold or the
-// interval cannot close; and a dag run is bit-identical to the
-// equivalent hand-sequenced submits, independent of worker count.
+// engine cache (counters pinned); the stats and pearson reduce ops equal
+// the analysis functions on the same points; search nodes bisect
+// deterministically and fail with pointed errors when the predicate cannot
+// hold or the interval cannot close; and a dag run is bit-identical to
+// the equivalent hand-sequenced submits, independent of worker count.
 #include "core/dag/dag.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/correlation.hpp"
+#include "analysis/stats.hpp"
 #include "core/engine.hpp"
 #include "core/scenario.hpp"
 #include "core/spec.hpp"
@@ -278,6 +281,110 @@ TEST(DagRun, BitIdenticalToHandSequencedSubmitsAcrossWorkerCounts) {
   for (std::size_t n = 0; n < serial.nodes.size(); ++n) {
     EXPECT_EQ(serial.nodes[n].doc.dump(), threaded.nodes[n].doc.dump());
     EXPECT_EQ(serial.nodes[n].key, threaded.nodes[n].key);
+  }
+}
+
+// --- stats and pearson reduce ops ------------------------------------------
+
+std::string three_point_campaign_text() {
+  return std::string(
+             R"__({"scenario": "campaign", "name": "grid", "base": )__") +
+         static_run("gaussian(sigma=210)", 42) +
+         R"__(, "axes": [{"field": "experiment.pattern", "values": )__"
+         R"__(["gaussian(sigma=210)", "gaussian(sigma=4)", )__"
+         R"__("gaussian(sigma=210) | sparsity(50%)"]}]})__";
+}
+
+TEST(DagReduce, StatsAndPearsonMatchTheAnalysisFunctions) {
+  const SpecParseResult parsed = parse_text(dag_text({
+      std::string(R"__({"name": "grid", "run": )__") +
+          three_point_campaign_text() + "}",
+      R"__({"name": "runtime", "reduce": {"op": "stats", "over": "grid", )__"
+      R"__("metric": "power_w"}})__",
+      R"__({"name": "corr", "reduce": {"op": "pearson", "over": "grid", )__"
+      R"__("metric": "power_w", "against": "alignment"}})__",
+  }));
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  ExperimentEngine engine(EngineOptions::with_workers(2));
+  dag::DagRun run;
+  std::string error;
+  ASSERT_TRUE(dag::run_dag(engine, *parsed.spec.dag, run, error)) << error;
+
+  std::vector<double> power;
+  std::vector<double> alignment;
+  analysis::RunningStats stats;
+  for (const dag::DagNodePoint& point : run.nodes[0].points) {
+    power.push_back(point.result.static_result().power_w);
+    alignment.push_back(point.result.static_result().alignment);
+    stats.add(power.back());
+  }
+  ASSERT_EQ(power.size(), 3u);
+  const analysis::JsonValue& summary = run.nodes[1].doc;
+  const auto number = [](const analysis::JsonValue& doc, const char* key) {
+    const analysis::JsonValue* v = doc.find(key);
+    EXPECT_NE(v, nullptr) << key;
+    return v != nullptr ? v->as_number() : -1.0;
+  };
+  EXPECT_EQ(number(summary, "value"), stats.mean());
+  EXPECT_EQ(number(summary, "sd"), stats.stddev());
+  EXPECT_EQ(number(summary, "ci95_halfwidth"), stats.ci95_halfwidth());
+  EXPECT_EQ(number(summary, "min"), stats.min());
+  EXPECT_EQ(number(summary, "max"), stats.max());
+  EXPECT_EQ(number(summary, "n"), 3.0);
+  EXPECT_GT(number(summary, "sd"), 0.0);
+
+  const analysis::JsonValue& corr = run.nodes[2].doc;
+  EXPECT_EQ(number(corr, "value"), analysis::pearson(alignment, power));
+  EXPECT_EQ(number(corr, "spearman"), analysis::spearman(alignment, power));
+  ASSERT_NE(corr.find("against"), nullptr);
+  EXPECT_EQ(corr.find("against")->as_string(), "alignment");
+  const analysis::JsonValue* points = corr.find("points");
+  ASSERT_NE(points, nullptr);
+  ASSERT_EQ(points->size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(number(points->at(i), "value"), power[i]);
+    EXPECT_EQ(number(points->at(i), "against_value"), alignment[i]);
+  }
+  EXPECT_NE(run.nodes[1].key, run.nodes[2].key);
+}
+
+std::string reduce_dag_text(const std::string& reduce_body) {
+  return dag_text({
+      std::string(R"__({"name": "grid", "run": )__") +
+          three_point_campaign_text() + "}",
+      R"__({"name": "r", "reduce": {"over": "grid", )__" + reduce_body + "}}",
+  });
+}
+
+TEST(DagReduce, ParseErrorsNameTheKey) {
+  struct Case {
+    const char* body;
+    const char* key;
+    const char* message;
+  };
+  const Case cases[] = {
+      {R"__("op": "pearson", "metric": "power_w")__", "reduce.against",
+       "required for op 'pearson'"},
+      {R"__("op": "pearson", "metric": "power_w", "against": "")__",
+       "reduce.against", "must not be empty"},
+      {R"__("op": "stats", "metric": "power_w", "against": "alignment")__",
+       "reduce.against", "only meaningful for op 'pearson'"},
+      {R"__("op": "mean", "metric": "power_w", "against": "alignment")__",
+       "reduce.against", "only meaningful for op 'pearson'"},
+      {R"__("op": "median", "metric": "power_w")__", "reduce.op",
+       "stats | pearson"},
+      {R"__("op": "stats", "metric": "")__", "reduce.metric",
+       "must not be empty"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.body);
+    const SpecParseResult parsed = parse_text(reduce_dag_text(c.body));
+    ASSERT_FALSE(parsed.ok);
+    EXPECT_NE(parsed.error.find(std::string("nodes[1] 'r'.") + c.key),
+              std::string::npos)
+        << parsed.error;
+    EXPECT_NE(parsed.error.find(c.message), std::string::npos)
+        << parsed.error;
   }
 }
 

@@ -20,73 +20,38 @@ class EnvGuard {
 
 TEST(BenchEnvTest, Defaults) {
   EnvGuard guard;
-  const BenchEnv env = read_bench_env();
-  EXPECT_EQ(env.n, 512u);
-  EXPECT_EQ(env.seeds, 2);
-  EXPECT_EQ(env.tiles, 12u);
-  EXPECT_DOUBLE_EQ(env.k_fraction, 0.5);
-  EXPECT_EQ(env.workers, 0);
+  EXPECT_EQ(read_bench_env().workers, 0);
 }
 
-TEST(BenchEnvTest, ReadsOverrides) {
+TEST(BenchEnvTest, ReadsWorkers) {
   EnvGuard guard;
-  setenv("GPUPOWER_N", "2048", 1);
-  setenv("GPUPOWER_SEEDS", "10", 1);
-  setenv("GPUPOWER_TILES", "0", 1);
-  setenv("GPUPOWER_KFRAC", "1.0", 1);
   setenv("GPUPOWER_WORKERS", "8", 1);
-  const BenchEnv env = read_bench_env();
-  EXPECT_EQ(env.n, 2048u);
-  EXPECT_EQ(env.seeds, 10);
-  EXPECT_EQ(env.tiles, 0u);  // 0 = exact walk
-  EXPECT_DOUBLE_EQ(env.k_fraction, 1.0);
-  EXPECT_EQ(env.workers, 8);
+  EXPECT_EQ(read_bench_env().workers, 8);
 }
 
 // A typo'd knob must fail loudly (one-line error, exit 2), never silently
 // misconfigure a run.
 using BenchEnvDeathTest = ::testing::Test;
 
-TEST(BenchEnvDeathTest, MalformedNDies) {
+TEST(BenchEnvDeathTest, MalformedWorkersDies) {
   EnvGuard guard;
-  setenv("GPUPOWER_N", "potato", 1);
+  setenv("GPUPOWER_WORKERS", "potato", 1);
   EXPECT_EXIT((void)read_bench_env(), ::testing::ExitedWithCode(2),
-              "invalid GPUPOWER_N='potato'");
-}
-
-TEST(BenchEnvDeathTest, OutOfRangeNDies) {
-  EnvGuard guard;
-  setenv("GPUPOWER_N", "8", 1);  // below the N=64 floor
-  EXPECT_EXIT((void)read_bench_env(), ::testing::ExitedWithCode(2),
-              "invalid GPUPOWER_N='8'");
-}
-
-TEST(BenchEnvDeathTest, NegativeSeedsDie) {
-  EnvGuard guard;
-  setenv("GPUPOWER_SEEDS", "-3", 1);
-  EXPECT_EXIT((void)read_bench_env(), ::testing::ExitedWithCode(2),
-              "invalid GPUPOWER_SEEDS='-3'");
-}
-
-TEST(BenchEnvDeathTest, ZeroKfracDies) {
-  EnvGuard guard;
-  setenv("GPUPOWER_KFRAC", "0", 1);
-  EXPECT_EXIT((void)read_bench_env(), ::testing::ExitedWithCode(2),
-              "invalid GPUPOWER_KFRAC='0'");
-}
-
-TEST(BenchEnvDeathTest, KfracAboveOneDies) {
-  EnvGuard guard;
-  setenv("GPUPOWER_KFRAC", "1.5", 1);
-  EXPECT_EXIT((void)read_bench_env(), ::testing::ExitedWithCode(2),
-              "invalid GPUPOWER_KFRAC='1.5'");
+              "invalid GPUPOWER_WORKERS='potato'");
 }
 
 TEST(BenchEnvDeathTest, TrailingJunkDies) {
   EnvGuard guard;
-  setenv("GPUPOWER_SEEDS", "4x", 1);
+  setenv("GPUPOWER_WORKERS", "4x", 1);
   EXPECT_EXIT((void)read_bench_env(), ::testing::ExitedWithCode(2),
-              "invalid GPUPOWER_SEEDS='4x'");
+              "invalid GPUPOWER_WORKERS='4x'");
+}
+
+TEST(BenchEnvDeathTest, NegativeWorkersDie) {
+  EnvGuard guard;
+  setenv("GPUPOWER_WORKERS", "-3", 1);
+  EXPECT_EXIT((void)read_bench_env(), ::testing::ExitedWithCode(2),
+              "invalid GPUPOWER_WORKERS='-3'");
 }
 
 TEST(BenchEnvDeathTest, WorkersOutOfRangeDies) {
@@ -94,6 +59,51 @@ TEST(BenchEnvDeathTest, WorkersOutOfRangeDies) {
   setenv("GPUPOWER_WORKERS", "10000", 1);
   EXPECT_EXIT((void)read_bench_env(), ::testing::ExitedWithCode(2),
               "invalid GPUPOWER_WORKERS='10000'");
+}
+
+// The retired experiment knobs: an old script that still sets one must
+// not silently run the defaults, whatever the value.
+TEST(BenchEnvDeathTest, RetiredNDiesNamingTheSpecField) {
+  EnvGuard guard;
+  setenv("GPUPOWER_N", "2048", 1);
+  EXPECT_EXIT((void)read_bench_env(), ::testing::ExitedWithCode(2),
+              "GPUPOWER_N is retired: set experiment.n in the spec");
+}
+
+TEST(BenchEnvDeathTest, RetiredSeedsDiesNamingTheSpecField) {
+  EnvGuard guard;
+  setenv("GPUPOWER_SEEDS", "10", 1);
+  EXPECT_EXIT((void)read_bench_env(), ::testing::ExitedWithCode(2),
+              "GPUPOWER_SEEDS is retired: set experiment.seeds in the spec");
+}
+
+TEST(BenchEnvDeathTest, RetiredTilesDiesNamingTheSpecField) {
+  EnvGuard guard;
+  setenv("GPUPOWER_TILES", "0", 1);
+  EXPECT_EXIT(
+      (void)read_bench_env(), ::testing::ExitedWithCode(2),
+      "GPUPOWER_TILES is retired: set experiment.sampling.tiles in the spec");
+}
+
+TEST(BenchEnvDeathTest, RetiredKfracDiesNamingTheSpecField) {
+  EnvGuard guard;
+  setenv("GPUPOWER_KFRAC", "potato", 1);  // the value is never parsed
+  EXPECT_EXIT((void)read_bench_env(), ::testing::ExitedWithCode(2),
+              "GPUPOWER_KFRAC is retired: set "
+              "experiment.sampling.k_fraction in the spec");
+}
+
+TEST(BenchEnvTest, WorkersFlagValidatorMatchesTheVariable) {
+  int workers = -1;
+  EXPECT_TRUE(parse_workers("0", workers));
+  EXPECT_EQ(workers, 0);
+  EXPECT_TRUE(parse_workers("256", workers));
+  EXPECT_EQ(workers, 256);
+  EXPECT_FALSE(parse_workers("257", workers));
+  EXPECT_FALSE(parse_workers("3x", workers));
+  EXPECT_FALSE(parse_workers("", workers));
+  EXPECT_FALSE(parse_workers(nullptr, workers));
+  EXPECT_EQ(workers, 256);  // failures leave the value unchanged
 }
 
 // --- the result-store knobs (GPUPOWER_STORE_DIR / GPUPOWER_STORE) --------
@@ -184,19 +194,6 @@ TEST(BenchEnvDeathTest, MalformedMetricsDies) {
   setenv("GPUPOWER_METRICS", "verbose", 1);
   EXPECT_EXIT((void)read_obs_env(), ::testing::ExitedWithCode(2),
               "invalid GPUPOWER_METRICS='verbose'");
-}
-
-TEST(BenchEnvTest, ApplyConfiguresExperiment) {
-  EnvGuard guard;
-  setenv("GPUPOWER_N", "256", 1);
-  setenv("GPUPOWER_SEEDS", "4", 1);
-  setenv("GPUPOWER_TILES", "6", 1);
-  const BenchEnv env = read_bench_env();
-  ExperimentConfig config;
-  env.apply(config);
-  EXPECT_EQ(config.n, 256u);
-  EXPECT_EQ(config.seeds, 4);
-  EXPECT_EQ(config.sampling.max_tiles, 6u);
 }
 
 }  // namespace

@@ -49,6 +49,23 @@ TEST(Json, PrettyPrinting) {
   EXPECT_EQ(obj.dump(true), "{\n  \"k\": 1\n}");
 }
 
+// An all-number array (a trace column) prints on one line; any other
+// array keeps one element per line.  Compact output is unchanged.
+TEST(Json, PrettyPrintingKeepsNumberArraysOnOneLine) {
+  JsonValue numbers = JsonValue::array();
+  numbers.push(JsonValue::integer(1)).push(JsonValue::number(2.5));
+  JsonValue mixed = JsonValue::array();
+  mixed.push(JsonValue::integer(1)).push(JsonValue::string("a"));
+  JsonValue obj = JsonValue::object();
+  obj.set("xs", std::move(numbers)).set("ys", std::move(mixed));
+  EXPECT_EQ(obj.dump(true),
+            "{\n  \"xs\": [1, 2.5],\n  \"ys\": [\n    1,\n    \"a\"\n  ]\n}");
+  EXPECT_EQ(obj.dump(), "{\"xs\":[1,2.5],\"ys\":[1,\"a\"]}");
+  const JsonParseResult parsed = json_parse(obj.dump(true));
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  EXPECT_EQ(parsed.value.dump(), obj.dump());
+}
+
 TEST(Json, Nesting) {
   JsonValue inner = JsonValue::array();
   inner.push(JsonValue::number(1.5));

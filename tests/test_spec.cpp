@@ -22,7 +22,6 @@
 
 #include "core/config_builder.hpp"
 #include "core/engine.hpp"
-#include "core/env.hpp"
 #include "core/figures.hpp"
 #include "core/pattern_dsl.hpp"
 #include "core/scenario.hpp"
@@ -397,7 +396,7 @@ TEST(Spec, OutOfRangeIntegersFailNamingTheKey) {
         << parsed.error;
   }
   // Unsigned fields: a negative value fails as written instead of wrapping
-  // to ~2^64, and tiles share GPUPOWER_TILES's [0, 1000000] range.
+  // to ~2^64, and tiles share kMaxTiles's [0, 1000000] range.
   const struct {
     const char* key;
     const char* experiment;
@@ -647,7 +646,7 @@ TEST(Spec, CampaignPointsPatchLikeAFreshBase) {
 
 // The paper-figure campaign shape of examples/specs/paper_figures.json: a
 // figure axis over the pattern, then a dtype axis, on an A100 base at the
-// BenchEnv defaults.
+// fast sampled protocol (N=512, 2 seeds, 12 tiles, k-fraction 0.5).
 constexpr const char* kFigureDTypes[] = {"fp32", "fp16", "fp16t", "int8"};
 
 std::string figure_campaign(std::string_view axis) {
@@ -691,11 +690,14 @@ TEST(Spec, FigureAxisExpandsEverySweepTimesEveryDtype) {
         EXPECT_EQ(canonical_dsl(point.config.experiment().pattern),
                   canonical_dsl(sweep[p].spec));
         // The same scenario a hand-built figure sweep submits.
-        const ExperimentConfig expected = ExperimentConfigBuilder()
-                                              .dtype(dtype)
-                                              .env(BenchEnv{})
-                                              .pattern(sweep[p].spec)
-                                              .build();
+        const ExperimentConfig expected =
+            ExperimentConfigBuilder()
+                .dtype(dtype)
+                .n(512)
+                .seeds(2)
+                .sampling(gpupower::gpusim::SamplingPlan::fast(12, 0.5))
+                .pattern(sweep[p].spec)
+                .build();
         EXPECT_EQ(canonical_scenario_key(point.config),
                   canonical_scenario_key(ScenarioConfig(expected)));
       }

@@ -3,14 +3,14 @@
 //
 //   gpowerctl discovery
 //       list the modelled GPUs (index, name, TDP, memory)
-//   gpowerctl dmon --gpu 0 --dtype fp16t --pattern "gaussian(sigma=210)"
-//       run one experiment and stream DCGM-style 100 ms power samples,
-//       then print the trimmed-average summary
-//   gpowerctl features --dtype fp16 --pattern "<dsl>"
+//   gpowerctl dmon <spec.json>
+//       run one static scenario and stream DCGM-style 100 ms power
+//       samples, then print the trimmed-average summary
+//   gpowerctl features <spec.json>
 //       print the input statistics the power model consumes
-//   gpowerctl predict --dtype fp16 --pattern "<dsl>"
-//       train the input-dependent power model on the figure sweeps and
-//       predict the pattern's power without a kernel walk
+//   gpowerctl predict <spec.json>
+//       train the input-dependent power model on the figure sweeps at the
+//       spec's working point and predict its power without a kernel walk
 //   gpowerctl validate <spec.json>
 //       parse a declarative scenario spec (core/spec.hpp) and report what
 //       it would run — campaign grids are expanded and every point checked
@@ -38,13 +38,15 @@
 // every replica computation (GPUPOWER_STORE=off disables it without
 // unsetting the directory).
 //
-// Each flag applies to the verbs that read it (kFlagScopes); on any other
-// verb it exits 2.  --n SIZE, --seeds K, --tiles T, --kfrac F (dmon,
-// features, predict) and --workers W (run, serve, predict) have the same
-// meaning, range, and strictness as the GPUPOWER_* environment knobs; a
-// spec sets its own experiment fields.  Campaigns and model training run
-// batched on the ExperimentEngine: every point fans out across the worker
-// pool and repeated configurations are served from the engine cache.
+// A spec is the one description of an experiment: dmon, features and
+// predict take a single static scenario spec, run/validate any spec.  Each
+// flag applies to the verbs that read it (kFlagScopes); on any other verb
+// it exits 2, and the retired experiment flags (--n, --seeds, --tiles,
+// --kfrac, --gpu, --dtype, --pattern) name the spec field instead.
+// --workers W (run, serve, predict) has the same range and strictness as
+// GPUPOWER_WORKERS.  Campaigns and model training run batched on the
+// ExperimentEngine: every point fans out across the worker pool and
+// repeated configurations are served from the engine cache.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -65,7 +67,6 @@
 #include "analysis/json.hpp"
 
 #include "analysis/table.hpp"
-#include "core/config_builder.hpp"
 #include "core/dag/dag.hpp"
 #include "core/engine.hpp"
 #include "core/env.hpp"
@@ -100,14 +101,11 @@ enum Verb : unsigned {
 struct Options {
   std::string command;
   Verb verb = kDiscovery;
-  int gpu_index = 0;
-  numeric::DType dtype = numeric::DType::kFP16;
-  std::string pattern = "gaussian()";
   core::BenchEnv env;
   bool csv = false;
   bool json = false;
-  // spec front end (run/validate)
-  std::string spec_path;  ///< positional <spec.json> of run/validate
+  // spec front end (every verb in kSpecFileVerbs)
+  std::string spec_path;  ///< positional <spec.json>
   std::string bench_out;  ///< campaign bench-document output path
   bool expand = false;    ///< validate: print expanded points / node order
   // serve command knobs
@@ -132,6 +130,13 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <discovery|dmon|features|predict|run|validate"
                "|serve|top> [options]\n"
+               "  dmon <spec.json>     stream DCGM-style power samples of one "
+               "static scenario\n"
+               "  features <spec.json> input statistics of one static "
+               "scenario\n"
+               "  predict <spec.json>  fit the power model on the figure "
+               "sweeps at the spec's\n"
+               "                       working point and predict its power\n"
                "  run <spec.json>      execute a scenario / campaign / dag "
                "spec\n"
                "  validate <spec.json> parse + expand a spec without running\n"
@@ -171,15 +176,8 @@ int usage(const char* argv0) {
                "  --csv / --json   run: CSV tables / every point's spec and "
                "result documents\n"
                "  --workers W      run/serve/predict: engine worker count\n"
-               "dmon/features/predict only (a spec sets these fields "
-               "itself):\n"
-               "  --dtype T        fp32 | fp16 | fp16t | int8 (default fp16)\n"
-               "  --pattern DSL    e.g. \"gaussian(sigma=210) | sort_rows(40%%)\"\n"
-               "  --n SIZE         GEMM size N (N x N x N)\n"
-               "  --gpu N          dmon/predict: device index (see "
-               "'discovery'; default 0)\n"
-               "  --seeds K --tiles T --kfrac F  dmon/predict\n"
                "environment (strict; malformed values exit 2):\n"
+               "  GPUPOWER_WORKERS    engine worker count (--workers wins)\n"
                "  GPUPOWER_STORE_DIR  persistent result store for run/serve: "
                "completed\n"
                "                      scenarios are written back and warm "
@@ -193,21 +191,10 @@ int usage(const char* argv0) {
                "                      the flag wins when both are set)\n"
                "  GPUPOWER_METRICS    'on' | 'off' — arm the metrics "
                "registry without\n"
-               "                      tracing\n"
-               "  GPUPOWER_N/SEEDS/TILES/KFRAC/WORKERS  see README\n",
+               "                      tracing\n",
                argv0);
   return 2;
 }
-
-/// Flags that mirror a GPUPOWER_* knob: parsed by the knob's own validator
-/// (core/env.hpp), so a flag and its variable accept exactly the same text.
-constexpr std::pair<std::string_view, core::BenchKnob> kKnobFlags[] = {
-    {"--n", core::BenchKnob::kN},
-    {"--seeds", core::BenchKnob::kSeeds},
-    {"--tiles", core::BenchKnob::kTiles},
-    {"--kfrac", core::BenchKnob::kKFraction},
-    {"--workers", core::BenchKnob::kWorkers},
-};
 
 constexpr std::pair<std::string_view, Verb> kVerbs[] = {
     {"discovery", kDiscovery}, {"dmon", kDmon},         {"features", kFeatures},
@@ -215,23 +202,26 @@ constexpr std::pair<std::string_view, Verb> kVerbs[] = {
     {"serve", kServe},         {"top", kTop},
 };
 
+/// The verbs whose positional argument is a spec file.
+constexpr unsigned kSpecFileVerbs =
+    kDmon | kFeatures | kPredict | kRun | kValidate;
+
 /// Every flag with the verbs that read it; any other verb rejects it
-/// rather than ignore it.  The experiment flags also name the spec field
-/// that carries the same setting, the hint the spec verbs print.
+/// rather than ignore it.  The retired experiment flags read on no verb
+/// and name the spec field that carries the same setting.
 struct FlagScope {
   std::string_view flag;
   unsigned verbs;
   std::string_view spec_field;
 };
-constexpr unsigned kSpecVerbs = kRun | kValidate | kServe;
 constexpr FlagScope kFlagScopes[] = {
-    {"--n", kDmon | kFeatures | kPredict, "experiment.n"},
-    {"--seeds", kDmon | kPredict, "experiment.seeds"},
-    {"--tiles", kDmon | kPredict, "experiment.sampling.tiles"},
-    {"--kfrac", kDmon | kPredict, "experiment.sampling.k_fraction"},
-    {"--gpu", kDmon | kPredict, "experiment.gpu"},
-    {"--dtype", kDmon | kFeatures | kPredict, "experiment.dtype"},
-    {"--pattern", kDmon | kFeatures | kPredict, "experiment.pattern"},
+    {"--n", 0, "experiment.n"},
+    {"--seeds", 0, "experiment.seeds"},
+    {"--tiles", 0, "experiment.sampling.tiles"},
+    {"--kfrac", 0, "experiment.sampling.k_fraction"},
+    {"--gpu", 0, "experiment.gpu"},
+    {"--dtype", 0, "experiment.dtype"},
+    {"--pattern", 0, "experiment.pattern"},
     {"--workers", kPredict | kRun | kServe, {}},
     {"--csv", kRun, {}},
     {"--json", kRun, {}},
@@ -271,7 +261,7 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
         [&](const FlagScope& entry) { return entry.flag == flag; });
     if (scope != std::end(kFlagScopes) && (scope->verbs & opts.verb) == 0) {
       error = std::string(flag) + " does not apply to " + opts.command;
-      if ((opts.verb & kSpecVerbs) != 0 && !scope->spec_field.empty()) {
+      if (!scope->spec_field.empty()) {
         error += ": set " + std::string(scope->spec_field) + " in the spec";
       }
       return false;
@@ -285,7 +275,7 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
               std::string(expect) + ")";
       return false;
     };
-    // Numeric flags outside the knob table: same strict whole-token parse.
+    // Numeric flags: the GPUPOWER_* knobs' strict whole-token parse.
     const auto int_flag = [&](long min, long max, std::string_view expect,
                               int& out) {
       const char* v = next();
@@ -297,36 +287,15 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
       return true;
     };
     constexpr long kIntMax = std::numeric_limits<int>::max();
-    const auto* knob = std::find_if(
-        std::begin(kKnobFlags), std::end(kKnobFlags),
-        [&](const auto& entry) { return entry.first == flag; });
-    if (knob != std::end(kKnobFlags)) {
+    if (flag == "--workers") {
       const char* v = next();
-      std::string expect;
-      if (!core::set_bench_knob(opts.env, knob->second, v, expect)) {
-        return invalid(v, expect);
+      if (!core::parse_workers(v, opts.env.workers)) {
+        return invalid(v, core::kWorkersExpect);
       }
     } else if (flag == "--csv") {
       opts.csv = true;
     } else if (flag == "--json") {
       opts.json = true;
-    } else if (flag == "--gpu") {
-      if (!int_flag(0, 3, "device index in [0, 3]", opts.gpu_index)) {
-        return false;
-      }
-    } else if (flag == "--dtype") {
-      const char* v = next();
-      if (!v || !numeric::parse_dtype(v, opts.dtype)) {
-        error = "unknown dtype";
-        return false;
-      }
-    } else if (flag == "--pattern") {
-      const char* v = next();
-      if (!v) {
-        error = "--pattern needs a DSL string";
-        return false;
-      }
-      opts.pattern = v;
     } else if (flag == "--bench-out") {
       const char* v = next();
       if (!v) {
@@ -382,9 +351,9 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
       }
       opts.metrics_out = v;
     } else if (!flag.starts_with("--") && opts.spec_path.empty() &&
-               (opts.verb & (kRun | kValidate)) != 0) {
-      // Only run/validate take a positional (the spec path); a stray
-      // positional on any other verb stays a hard error.
+               (opts.verb & kSpecFileVerbs) != 0) {
+      // Only the spec-file verbs take a positional (the spec path); a
+      // stray positional on any other verb stays a hard error.
       opts.spec_path = flag;
     } else {
       error = "unknown option '" + std::string(flag) + "'";
@@ -394,15 +363,29 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
   return true;
 }
 
-bool parse_pattern_or_die(const Options& opts, core::PatternSpec& spec) {
-  const auto parsed = core::parse_pattern(opts.pattern);
-  if (!parsed.ok) {
-    std::fprintf(stderr, "pattern error at offset %zu: %s\n",
-                 parsed.error_pos, parsed.error.c_str());
-    return false;
+int spec_error(const std::string& message) {
+  std::fprintf(stderr, "gpowerctl: %s\n", message.c_str());
+  return 2;
+}
+
+/// Loads the positional spec of dmon/features/predict, which must be one
+/// static scenario; returns 0, or 2 after printing the error.
+int load_static_spec(const Options& opts, core::ExperimentConfig& config) {
+  if (opts.spec_path.empty()) {
+    return spec_error(opts.command + " needs <spec.json>");
   }
-  spec = parsed.spec;
-  return true;
+  const core::SpecParseResult parsed = core::load_scenario_spec(opts.spec_path);
+  if (!parsed.ok) return spec_error(parsed.error);
+  std::string kind(core::name(parsed.spec.config.kind()));
+  if (parsed.spec.campaign) kind = "campaign";
+  if (parsed.spec.dag != nullptr) kind = "dag";
+  if (kind != "static") {
+    return spec_error(opts.command +
+                      " needs a single static scenario spec, not a " + kind +
+                      " spec");
+  }
+  config = parsed.spec.config.experiment();
+  return 0;
 }
 
 int cmd_discovery() {
@@ -420,21 +403,6 @@ int cmd_discovery() {
   return 0;
 }
 
-core::ExperimentConfig make_config(const Options& opts,
-                                   const core::PatternSpec& spec) {
-  const auto builder = core::ExperimentConfigBuilder()
-                           .gpu(kGpuByIndex[opts.gpu_index])
-                           .dtype(opts.dtype)
-                           .pattern(spec)
-                           .env(opts.env);
-  // Any remaining builder error surfaces here.
-  if (!builder.valid()) {
-    std::fprintf(stderr, "gpowerctl: %s\n", builder.error().c_str());
-    std::exit(2);
-  }
-  return builder.build();
-}
-
 core::ExperimentEngine make_engine(const Options& opts) {
   core::EngineOptions options;
   options.workers = opts.env.workers;
@@ -450,9 +418,11 @@ core::ExperimentEngine make_engine(const Options& opts) {
 }
 
 int cmd_dmon(const Options& opts) {
-  core::PatternSpec spec;
-  if (!parse_pattern_or_die(opts, spec)) return 1;
-  const auto config = make_config(opts, spec);
+  core::ExperimentConfig config;
+  if (const int status = load_static_spec(opts, config); status != 0) {
+    return status;
+  }
+  const core::PatternSpec& spec = config.pattern;
 
   // Single-replica run so the sample stream is concrete, then the full
   // multi-seed summary.
@@ -464,17 +434,17 @@ int cmd_dmon(const Options& opts) {
                         spec.transpose_b};
   telemetry::SamplerConfig sampler;
   const gpusim::PowerReport report =
-      core::with_storage_type(opts.dtype, [&](auto tag) {
+      core::with_storage_type(config.dtype, [&](auto tag) {
         const auto in = core::build_inputs<typename decltype(tag)::type>(
-            spec, opts.dtype, config.n, 42);
-        return sim.run_gemm(problem, opts.dtype, in.a, in.b);
+            spec, config.dtype, config.n, config.base_seed);
+        return sim.run_gemm(problem, config.dtype, in.a, in.b);
       });
   const auto trace =
       telemetry::sample_run(report, config.effective_iterations(), sampler);
 
   std::printf("# gpowerctl dmon: %s, %s, pattern: %s\n",
               std::string(gpusim::name(config.gpu)).c_str(),
-              std::string(numeric::name(opts.dtype)).c_str(),
+              std::string(numeric::name(config.dtype)).c_str(),
               core::to_dsl(spec).c_str());
   std::printf("#  t(s)   power(W)\n");
   const std::size_t stride = std::max<std::size_t>(1, trace.size() / 20);
@@ -508,11 +478,13 @@ core::DataFeatures features_for(const core::PatternSpec& spec,
 }
 
 int cmd_features(const Options& opts) {
-  core::PatternSpec spec;
-  if (!parse_pattern_or_die(opts, spec)) return 1;
+  core::ExperimentConfig config;
+  if (const int status = load_static_spec(opts, config); status != 0) {
+    return status;
+  }
   const core::DataFeatures features =
-      features_for(spec, opts.dtype, opts.env.n);
-  std::printf("pattern: %s\n", core::to_dsl(spec).c_str());
+      features_for(config.pattern, config.dtype, config.n);
+  std::printf("pattern: %s\n", core::to_dsl(config.pattern).c_str());
   std::printf("  weight_fraction       %.4f\n", features.weight_fraction);
   std::printf("  neighbor_toggles      %.4f\n", features.neighbor_toggles);
   std::printf("  alignment             %.4f\n", features.alignment);
@@ -523,17 +495,20 @@ int cmd_features(const Options& opts) {
 }
 
 int cmd_predict(const Options& opts) {
-  core::PatternSpec spec;
-  if (!parse_pattern_or_die(opts, spec)) return 1;
+  core::ExperimentConfig config;
+  if (const int status = load_static_spec(opts, config); status != 0) {
+    return status;
+  }
 
-  // Train on a few representative sweeps at the configured size; the whole
-  // training set runs batched on the engine (sweep points shared between
-  // figures — e.g. each sweep's baseline column — are computed once).
+  // Train on a few representative sweeps at the spec's working point; the
+  // whole training set runs batched on the engine (sweep points shared
+  // between figures — e.g. each sweep's baseline column — are computed
+  // once).
   std::printf("training input-dependent power model (%s, n=%zu)...\n",
-              std::string(numeric::name(opts.dtype)).c_str(), opts.env.n);
+              std::string(numeric::name(config.dtype)).c_str(), config.n);
   core::ExperimentEngine engine = make_engine(opts);
-  auto training_base = make_config(opts, core::baseline_gaussian_spec());
-  training_base.seeds = 1;
+  core::ExperimentConfig training = config;
+  training.seeds = 1;
   std::vector<core::SweepPoint> points;
   std::vector<core::ScenarioHandle> handles;
   for (const auto fig :
@@ -541,20 +516,19 @@ int cmd_predict(const Options& opts) {
         core::FigureId::kFig5bSortedAligned, core::FigureId::kFig6aSparsity,
         core::FigureId::kFig4bLsbRandomized, core::FigureId::kFig6cLsbZeroed}) {
     for (const core::SweepPoint& point : core::figure_sweep(fig)) {
-      core::ExperimentConfig config = training_base;
-      config.pattern = point.spec;
-      handles.push_back(engine.submit(config));
+      training.pattern = point.spec;
+      handles.push_back(engine.submit(training));
       points.push_back(point);
     }
   }
-  const auto measured_handle = engine.submit(make_config(opts, spec));
+  const auto measured_handle = engine.submit(config);
   engine.wait_all();
 
   std::vector<core::PowerSample> samples;
   for (std::size_t i = 0; i < points.size(); ++i) {
     core::PowerSample sample;
     sample.power_w = handles[i].get().static_result().power_w;
-    sample.features = features_for(points[i].spec, opts.dtype, opts.env.n);
+    sample.features = features_for(points[i].spec, config.dtype, config.n);
     samples.push_back(sample);
   }
   const auto model = core::InputDependentPowerModel::fit(samples);
@@ -567,10 +541,10 @@ int cmd_predict(const Options& opts) {
               model.r2(samples));
 
   const double predicted =
-      model.predict(features_for(spec, opts.dtype, opts.env.n));
+      model.predict(features_for(config.pattern, config.dtype, config.n));
   const core::ExperimentResult& measured =
       measured_handle.get().static_result();
-  std::printf("pattern:   %s\n", core::to_dsl(spec).c_str());
+  std::printf("pattern:   %s\n", core::to_dsl(config.pattern).c_str());
   std::printf("predicted: %.2f W (no kernel walk)\n", predicted);
   std::printf("simulated: %.2f W (error %+.2f W)\n", measured.power_w,
               predicted - measured.power_w);
@@ -578,11 +552,6 @@ int cmd_predict(const Options& opts) {
 }
 
 // --- spec front end ---------------------------------------------------------
-
-int spec_error(const std::string& message) {
-  std::fprintf(stderr, "gpowerctl: %s\n", message.c_str());
-  return 2;
-}
 
 /// Metric columns of a campaign table / bench document, per scenario kind.
 std::vector<std::string> kind_metric_headers(core::ScenarioKind kind) {
@@ -617,6 +586,24 @@ std::vector<double> kind_metric_values(const core::ScenarioResult& result) {
     }
   }
   return {};
+}
+
+/// A point-per-row table with the kind's metric columns; printed as CSV
+/// under --csv, aligned otherwise.
+analysis::Table metric_table(core::ScenarioKind kind) {
+  std::vector<std::string> headers{"point"};
+  for (std::string& header : kind_metric_headers(kind)) {
+    headers.push_back(std::move(header));
+  }
+  return analysis::Table(std::move(headers));
+}
+
+void print_table(const Options& opts, const analysis::Table& table) {
+  if (opts.csv) {
+    table.print_csv(std::cout);
+  } else {
+    table.print(std::cout);
+  }
 }
 
 /// Bench-document metrics (names aligned with the committed BENCH_*.json
@@ -710,9 +697,11 @@ int expand_dag_node(const core::dag::DagSpec& dag,
       return 0;
     }
     case core::dag::DagNodeKind::kReduce:
-      std::printf("    %s over '%s', metric %s\n", node.reduce.op.c_str(),
+      std::printf("    %s over '%s', metric %s%s%s\n", node.reduce.op.c_str(),
                   dag.nodes[node.reduce.over].name.c_str(),
-                  node.reduce.metric.c_str());
+                  node.reduce.metric.c_str(),
+                  node.reduce.against.empty() ? "" : " against ",
+                  node.reduce.against.c_str());
       return 0;
     case core::dag::DagNodeKind::kSearch:
       std::printf("    bisect %s in [%g, %g] until %s %s %g (tolerance %g)\n",
@@ -830,21 +819,12 @@ int run_campaign(const Options& opts, const core::ScenarioSpec& spec) {
     return 0;
   }
 
-  std::vector<std::string> headers{"point"};
-  for (std::string& header :
-       kind_metric_headers(run.points.front().config.kind())) {
-    headers.push_back(std::move(header));
-  }
-  analysis::Table table(std::move(headers));
+  analysis::Table table = metric_table(run.points.front().config.kind());
   for (std::size_t i = 0; i < run.points.size(); ++i) {
     table.add_row(run.points[i].label,
                   kind_metric_values(run.handles[i].get()), 3);
   }
-  if (opts.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  print_table(opts, table);
   print_engine_stats(engine);
   return 0;
 }
@@ -853,15 +833,29 @@ int run_campaign(const Options& opts, const core::ScenarioSpec& spec) {
 /// result document.
 void print_derived_node_summary(const core::dag::DagNodeRun& node) {
   const analysis::JsonValue* value = node.doc.find("value");
+  const auto number = [&](std::string_view key) {
+    const analysis::JsonValue* v = node.doc.find(key);
+    return v != nullptr ? v->as_number() : 0.0;
+  };
   if (node.kind == core::dag::DagNodeKind::kReduce) {
     const analysis::JsonValue* op = node.doc.find("op");
     const analysis::JsonValue* over = node.doc.find("over");
     const analysis::JsonValue* metric = node.doc.find("metric");
-    std::printf("  %s of %s over '%s' = %.6g\n",
+    const analysis::JsonValue* against = node.doc.find("against");
+    std::printf("  %s of %s%s%s over '%s' = %.6g",
                 op != nullptr ? op->as_string().c_str() : "?",
                 metric != nullptr ? metric->as_string().c_str() : "?",
+                against != nullptr ? " against " : "",
+                against != nullptr ? against->as_string().c_str() : "",
                 over != nullptr ? over->as_string().c_str() : "?",
                 value != nullptr ? value->as_number() : 0.0);
+    if (against != nullptr) {
+      std::printf(" (spearman %.6g)", number("spearman"));
+    } else if (node.doc.find("sd") != nullptr) {
+      std::printf(" (sd %.6g, min %.6g, max %.6g, n %.0f)", number("sd"),
+                  number("min"), number("max"), number("n"));
+    }
+    std::printf("\n");
     return;
   }
   const analysis::JsonValue* field = node.doc.find("field");
@@ -944,20 +938,11 @@ int run_dag_spec(const Options& opts, const core::ScenarioSpec& spec) {
       print_derived_node_summary(node);
     }
     if (node.points.empty()) continue;
-    std::vector<std::string> headers{"point"};
-    for (std::string& header :
-         kind_metric_headers(node.points.front().config.kind())) {
-      headers.push_back(std::move(header));
-    }
-    analysis::Table table(std::move(headers));
+    analysis::Table table = metric_table(node.points.front().config.kind());
     for (const core::dag::DagNodePoint& point : node.points) {
       table.add_row(point.label, kind_metric_values(point.result), 3);
     }
-    if (opts.csv) {
-      table.print_csv(std::cout);
-    } else {
-      table.print(std::cout);
-    }
+    print_table(opts, table);
   }
   print_engine_stats(engine);
   return 0;
@@ -973,9 +958,10 @@ int cmd_run(const Options& opts) {
   core::ExperimentEngine engine = make_engine(opts);
   const core::ScenarioHandle handle = engine.submit(parsed.spec.config);
   const core::ScenarioResult& result = handle.get();
+  const std::string kind_label(core::name(parsed.spec.config.kind()));
   if (!opts.bench_out.empty()) {
     tools::BenchCase bench_case;
-    bench_case.name = std::string(core::name(parsed.spec.config.kind()));
+    bench_case.name = kind_label;
     bench_case.metrics = kind_bench_metrics(result);
     const int status = write_bench_out(opts, "scenario", "", {bench_case});
     if (status != 0) return status;
@@ -989,7 +975,14 @@ int cmd_run(const Options& opts) {
                             .c_str());
     return 0;
   }
-  print_scenario_summary(parsed.spec.config, result);
+  if (opts.csv) {
+    // One point: the campaign table's header and a row labelled by kind.
+    analysis::Table table = metric_table(parsed.spec.config.kind());
+    table.add_row(kind_label, kind_metric_values(result), 3);
+    print_table(opts, table);
+  } else {
+    print_scenario_summary(parsed.spec.config, result);
+  }
   print_engine_stats(engine);
   return 0;
 }

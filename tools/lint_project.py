@@ -11,9 +11,9 @@ a documented contract of this codebase:
                    std::ofstream/fopen writers in bench/, tools/ and
                    examples/ bypass the temp+rename+fsync protocol.
   env-access       Environment access goes through core/env (read_bench_env
-                   / read_store_env / env_flag_set): strict validation with
-                   exit(2) on a typo'd knob.  A stray std::getenv silently
-                   misconfigures a run.
+                   / read_store_env / read_obs_env): strict validation with
+                   exit(2) on a typo'd or retired knob.  A stray std::getenv
+                   silently misconfigures a run.
   no-rand          rand()/srand() would introduce a hidden global RNG; all
                    randomness derives from patterns/rng.hpp seeded streams
                    (bit-exact reproducibility depends on it).
@@ -207,7 +207,7 @@ def lint_file(path: pathlib.Path, root: pathlib.Path) -> list[Finding]:
         for lineno, _ in grep(code, r"\bgetenv\s*\("):
             add("env-access", lineno,
                 "environment access outside core/env — use read_bench_env/"
-                "read_store_env/env_is_set (strict validation, exit 2)")
+                "read_store_env/read_obs_env (strict validation, exit 2)")
 
     # no-rand: the C global RNG, anywhere.
     for lineno, _ in grep(code, r"(^|[^\w.:])s?rand\s*\("):
